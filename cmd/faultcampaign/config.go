@@ -73,10 +73,8 @@ type cliConfig struct {
 	Parallel int    `json:"parallel,omitempty"`
 
 	// Engine shape.
-	NoFork           bool     `json:"no_fork,omitempty"`
 	SnapshotInterval duration `json:"snapshot_interval,omitempty"`
 	SnapshotStats    bool     `json:"snapshot_stats,omitempty"`
-	ConvergeCutoff   bool     `json:"converge_cutoff"`
 
 	// Output.
 	Derive     bool   `json:"derive,omitempty"`
@@ -106,15 +104,14 @@ type cliConfig struct {
 // defaultConfig is the no-flags configuration.
 func defaultConfig() *cliConfig {
 	return &cliConfig{
-		Trials:         1000,
-		Seed:           1,
-		ECC:            true,
-		Compute:        64,
-		ConvergeCutoff: true,
-		Quantum:        duration(50 * time.Microsecond),
-		Poll:           duration(shard.DefaultPoll),
-		LeaseTTL:       duration(shard.DefaultLeaseTTL),
-		CIOutcome:      "fail-silent",
+		Trials:    1000,
+		Seed:      1,
+		ECC:       true,
+		Compute:   64,
+		Quantum:   duration(50 * time.Microsecond),
+		Poll:      duration(shard.DefaultPoll),
+		LeaseTTL:  duration(shard.DefaultLeaseTTL),
+		CIOutcome: "fail-silent",
 	}
 }
 
@@ -136,10 +133,8 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Targets, "targets", c.Targets, "comma-separated fault targets: register,pc,sp,alu,mem-data,mem-code (default all)")
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "worker goroutines for the campaign (0 = GOMAXPROCS); results are identical for any value")
 
-	fs.BoolVar(&c.NoFork, "no-fork", c.NoFork, "disable the checkpoint/fork engine and simulate every trial from t=0 (results are identical either way)")
 	fs.Var(&c.SnapshotInterval, "snapshot-interval", "fork checkpoint spacing (0 = default 250µs, or the workload's hint when finer)")
 	fs.BoolVar(&c.SnapshotStats, "snapshot-stats", c.SnapshotStats, "report the fork engine's checkpoint-store traffic (delta vs full-image bytes, pages copied/restored)")
-	fs.BoolVar(&c.ConvergeCutoff, "converge-cutoff", c.ConvergeCutoff, "stop a forked trial early once its state digest reconverges with the golden run (classification-only campaigns)")
 
 	fs.BoolVar(&c.Derive, "derive", c.Derive, "also derive model parameters and print the headline comparison")
 	fs.BoolVar(&c.Digest, "digest", c.Digest, "print the campaign result digest (bit-identical across -parallel values and sharded runs)")
@@ -227,7 +222,7 @@ var modeFlags = map[string]map[string]bool{
 	"submit": {
 		"submit": true, "poll": true, "progress": true, "digest": true,
 		"trials": true, "seed": true, "ecc": true, "compute": true, "targets": true,
-		"lease-size": true, "no-fork": true, "snapshot-interval": true, "converge-cutoff": true,
+		"lease-size": true, "snapshot-interval": true,
 	},
 }
 
@@ -292,7 +287,7 @@ func (c *cliConfig) Validate(set map[string]bool) error {
 	}
 	if c.Adaptive {
 		for _, name := range []string{"trials", "quantum", "digest", "derive",
-			"metrics-out", "trace-out", "snapshot-stats", "converge-cutoff"} {
+			"metrics-out", "trace-out", "snapshot-stats"} {
 			if set[name] {
 				return fmt.Errorf("-%s conflicts with -adaptive", name)
 			}
@@ -333,9 +328,7 @@ func (c *cliConfig) spec() (shard.CampaignSpec, error) {
 		ECC:                c.ECC,
 		Compute:            c.Compute,
 		Targets:            targets,
-		NoFork:             c.NoFork,
 		SnapshotIntervalNs: int64(c.SnapshotInterval),
-		NoConvergeCutoff:   !c.ConvergeCutoff,
 		LeaseSize:          c.LeaseSize,
 	}
 	return spec, nil

@@ -79,6 +79,7 @@ func TestValidateConflicts(t *testing.T) {
 		{[]string{"-serve", ":8080", "-metrics-out", "m.json"}, "not valid in -serve mode"},
 		{[]string{"-submit", "http://c", "-metrics-out", "m.json"}, "not valid in -submit mode"},
 		{[]string{"-submit", "http://c", "-trials", "0"}, "trials"},
+		{[]string{"-submit", "http://c", "-trials", "16777217"}, "trials"},
 		{[]string{"-submit", "http://c", "-targets", "warp-core"}, "unknown target"},
 		{[]string{"-adaptive", "-exhaustive"}, "mutually exclusive"},
 		{[]string{"-adaptive", "-trials", "5"}, "conflicts with -adaptive"},
@@ -116,7 +117,7 @@ func TestSpecMapping(t *testing.T) {
 	cfg, _, err := parseFlags([]string{
 		"-submit", "http://c", "-trials", "600", "-seed", "7",
 		"-targets", "alu, pc", "-lease-size", "64",
-		"-snapshot-interval", "125us", "-converge-cutoff=false",
+		"-snapshot-interval", "125us",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSpecMapping(t *testing.T) {
 	if len(spec.Targets) != 2 || spec.Targets[0] != "alu" || spec.Targets[1] != "pc" {
 		t.Errorf("targets %v", spec.Targets)
 	}
-	if spec.LeaseSize != 64 || spec.SnapshotIntervalNs != 125_000 || !spec.NoConvergeCutoff {
+	if spec.LeaseSize != 64 || spec.SnapshotIntervalNs != 125_000 {
 		t.Errorf("spec %+v", spec)
 	}
 	if err := spec.Validate(); err != nil {

@@ -8,8 +8,7 @@
 //	faultcampaign [-trials N] [-seed S] [-ecc] [-compute N] [-targets list]
 //	              [-parallel N] [-cpuprofile file] [-memprofile file] [-progress]
 //	              [-metrics-out file] [-trace-out file] [-digest]
-//	              [-no-fork] [-snapshot-interval d] [-snapshot-stats]
-//	              [-converge-cutoff=false]
+//	              [-snapshot-interval d] [-snapshot-stats]
 //	              [-adaptive] [-strata N] [-ci-width f] [-ci-outcome o] [-max-trials N]
 //	              [-config file] [-dump-config]
 //	faultcampaign -serve addr [-lease-ttl d]
@@ -43,15 +42,15 @@
 // -trace-out additionally retains each trial's structured event stream
 // and exports the merged JSONL (trial 0 is the fault-free golden run).
 //
-// The campaign uses the checkpoint/fork engine by default: each worker
+// The campaign runs on the checkpoint/fork engine: each worker
 // snapshots the fault-free prefix at checkpoint boundaries and every
 // trial restores the latest checkpoint before its injection instant
-// instead of re-simulating from t=0. Results are bit-identical either
-// way; -no-fork is the escape hatch forcing the legacy from-scratch
-// path, -snapshot-interval overrides the checkpoint spacing (default
-// 250µs, or the workload's hint when finer), -snapshot-stats reports the
-// checkpoint store's delta-page traffic, and -converge-cutoff=false
-// disables the post-injection early-stop on state-digest convergence.
+// instead of re-simulating from t=0, stopping early once its state
+// digest reconverges with the golden run (campaigns without telemetry).
+// Results are bit-identical to simulating every trial from scratch.
+// -snapshot-interval overrides the checkpoint spacing (default 250µs,
+// or the workload's hint when finer), and -snapshot-stats reports the
+// checkpoint store's delta-page traffic.
 package main
 
 import (
@@ -160,7 +159,6 @@ func runAdaptive(w nlft.Workload, targets []fault.Target, cfg *cliConfig) error 
 		CIWidth:          cfg.CIWidth,
 		CIOutcome:        outcome,
 		Parallelism:      cfg.Parallel,
-		NoFork:           cfg.NoFork,
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
 	}
 	if cfg.Progress {
@@ -212,9 +210,7 @@ func run(cfg *cliConfig) error {
 		Trials: cfg.Trials, Seed: cfg.Seed, Targets: targets, Parallelism: cfg.Parallel,
 		Telemetry:        cfg.MetricsOut != "",
 		TelemetryEvents:  cfg.TraceOut != "",
-		NoFork:           cfg.NoFork,
 		SnapshotInterval: nlft.Time(cfg.SnapshotInterval),
-		NoConvergeCutoff: !cfg.ConvergeCutoff,
 	}
 	if cfg.Exhaustive {
 		// Exhaustive mode: the campaign runs the full enumerated plan

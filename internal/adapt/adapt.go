@@ -86,8 +86,9 @@ type Config struct {
 	// Parallelism is the number of worker goroutines. Default (0) is
 	// runtime.GOMAXPROCS(0). Results are bit-identical for any value.
 	Parallelism int
-	// NoFork disables the checkpoint/fork engine and simulates every
-	// trial from t=0. Results are bit-identical either way.
+	// NoFork runs the rounds on the from-scratch reference oracle
+	// instead of the checkpoint/fork engine (it is passed through to the
+	// trial runner). Results are bit-identical either way.
 	NoFork bool
 	// NoSplit disables adaptive stratum refinement, leaving the base
 	// (target × bucket) grid fixed.

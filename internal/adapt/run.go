@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -23,14 +22,6 @@ var (
 		fault.FailSilent}
 )
 
-// plannedTrial is one precomputed trial of a round: the stratum it
-// belongs to and its fully drawn spec. Planning happens on the driver
-// goroutine before the round runs, so workers only execute.
-type plannedTrial struct {
-	si   int
-	spec fault.TrialSpec
-}
-
 // engine is one campaign's driver state.
 type engine struct {
 	w      fault.Workload
@@ -44,12 +35,9 @@ type engine struct {
 	// activity set is a pure time set, identical for every target).
 	kactFrac float64
 
-	// One trial runner per worker: fork sessions (each owns a live
-	// instance and checkpoint store) or scratch runners with the shared
-	// golden reference.
-	sessions []*fault.ForkSession
-	scratch  []*fault.ScratchRunner
-	golden   []fault.Write
+	// runner executes every round's trial batch on slots that stay
+	// warm across rounds.
+	runner *fault.ShardRunner
 }
 
 // Run executes an adaptive campaign on the workload.
@@ -85,7 +73,9 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		kactFrac: float64(fault.OverlapWidth(kact, cfg.Window[0], cfg.Window[1])) /
 			float64(cfg.Window[1]-cfg.Window[0]),
 	}
-	if err := e.buildRunners(); err != nil {
+	e.runner, err = fault.NewShardRunner(w, fault.CampaignConfig{Parallelism: cfg.Parallelism,
+		NoFork: cfg.NoFork, SnapshotInterval: cfg.SnapshotInterval})
+	if err != nil {
 		return nil, err
 	}
 	stop := ""
@@ -95,18 +85,18 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		if e.total+size > cfg.MaxTrials {
 			size = cfg.MaxTrials - e.total
 		}
-		plan := e.planRound(e.allocate(size))
-		outcomes, err := e.runRound(plan)
+		owners, specs := e.planRound(e.allocate(size))
+		recs, err := e.runner.RunSpecs(specs)
 		if err != nil {
 			return nil, err
 		}
-		for i, pt := range plan {
-			e.strata[pt.si].commit(pt.spec.Fault.At, outcomes[i])
+		for i, rec := range recs {
+			e.strata[owners[i]].commit(rec.Fault.At, rec.Outcome)
 		}
-		e.total += len(plan)
+		e.total += len(specs)
 		est := e.estimateEvent([]fault.Outcome{cfg.CIOutcome})
 		if cfg.OnRound != nil {
-			cfg.OnRound(RoundInfo{Round: e.rounds, Allocated: len(plan),
+			cfg.OnRound(RoundInfo{Round: e.rounds, Allocated: len(specs),
 				Trials: e.total, Strata: len(e.strata), Estimate: est})
 		}
 		switch {
@@ -121,39 +111,6 @@ func Run(w fault.Workload, cfg Config) (*Result, error) {
 		}
 	}
 	return e.result(stop), nil
-}
-
-// buildRunners constructs one trial runner per worker. Fork sessions
-// each capture their own checkpoint store (a deterministic golden
-// prefix), so they are built concurrently; the scratch path shares one
-// golden reference.
-func (e *engine) buildRunners() error {
-	workers := e.cfg.Parallelism
-	if e.cfg.NoFork {
-		golden, err := fault.GoldenWrites(e.w)
-		if err != nil {
-			return err
-		}
-		e.golden = golden
-		e.scratch = make([]*fault.ScratchRunner, workers)
-		for i := range e.scratch {
-			e.scratch[i] = &fault.ScratchRunner{}
-		}
-		return nil
-	}
-	e.sessions = make([]*fault.ForkSession, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := range e.sessions {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.sessions[i], errs[i] = fault.NewForkSession(e.w, e.cfg.SnapshotInterval, false)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // allocate distributes size trials over the strata: any stratum still
@@ -224,70 +181,24 @@ func (e *engine) allocate(size int) []int {
 	return alloc
 }
 
-// planRound draws every trial of the round up front: stratum si's j-th
-// new trial uses the substream (Seed, key(si), drawn(si)+j), and its
-// flat position in the plan is fixed by the canonical stratum order —
-// nothing about execution can change what any trial is.
-func (e *engine) planRound(alloc []int) []plannedTrial {
-	var plan []plannedTrial
+// planRound draws every trial of the round up front, returning each
+// trial's owning stratum and spec: stratum si's j-th new trial uses the
+// substream (Seed, key(si), drawn(si)+j), and its flat position in the
+// batch is fixed by the canonical stratum order — nothing about
+// execution can change what any trial is. The runner writes each record
+// at its batch index, so neither the worker count nor completion order
+// can influence what is committed.
+func (e *engine) planRound(alloc []int) (owners []int, specs []fault.TrialSpec) {
 	for si, s := range e.strata {
 		for j := 0; j < alloc[si]; j++ {
 			rng := des.NewRandIndexed2(e.cfg.Seed, s.key(), uint64(s.drawn+j))
 			at := s.instant(des.Time(rng.Intn(int(s.freeW))))
-			f := fault.DrawFaultAt(e.w, s.target, at, rng)
-			plan = append(plan, plannedTrial{si: si, spec: fault.TrialSpec{Fault: f}})
+			owners = append(owners, si)
+			specs = append(specs, fault.TrialSpec{Fault: fault.DrawFaultAt(e.w, s.target, at, rng)})
 		}
 		s.drawn += alloc[si]
 	}
-	return plan
-}
-
-// runRound executes the planned trials over the worker pool. Workers
-// take strided shares ordered by injection instant (so consecutive
-// fork restores reuse nearby checkpoints) and write each outcome at
-// the trial's flat index; neither the worker count nor completion
-// order can influence what is committed.
-func (e *engine) runRound(plan []plannedTrial) ([]fault.Outcome, error) {
-	outcomes := make([]fault.Outcome, len(plan))
-	workers := e.cfg.Parallelism
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mine := make([]int, 0, (len(plan)-wk+workers-1)/workers)
-			for i := wk; i < len(plan); i += workers {
-				mine = append(mine, i)
-			}
-			sort.SliceStable(mine, func(a, b int) bool {
-				return plan[mine[a]].spec.Fault.At < plan[mine[b]].spec.Fault.At
-			})
-			for _, i := range mine {
-				var rec fault.TrialRecord
-				var err error
-				if e.cfg.NoFork {
-					rec, err = e.scratch[wk].RunTrial(e.w, plan[i].spec, e.golden)
-				} else {
-					rec, err = e.sessions[wk].RunTrial(plan[i].spec)
-				}
-				if err != nil {
-					errs[wk] = fmt.Errorf("adapt: trial %d: %w", i, err)
-					return
-				}
-				outcomes[i] = rec.Outcome
-			}
-		}()
-	}
-	wg.Wait()
-	return outcomes, errors.Join(errs...)
+	return owners, specs
 }
 
 // refine splits the strata that dominate the Neyman scores: a stratum

@@ -1,16 +1,17 @@
 package exhaust
 
 // The fork-path exploration engine. One worker owns one
-// fault.ForkSession (live instance + golden-prefix checkpoints) and
-// runs its strided share of the placement space, each placement
-// restoring the latest sound checkpoint before its injection instant
-// and simulating only the suffix. At every checkpoint boundary after
-// the injection the worker compares the instance's forward digest
-// against (a) the golden run's digest at that boundary — a match is
-// PR 5's convergence cutoff, the golden suffix is spliced on — and
-// (b) its visited-digest memo table: a match means an earlier placement
-// already simulated this exact future, so its recorded suffix (writes,
-// events, counter deltas) is composed on instead of re-simulated.
+// fault.ForkSession — the campaign engine's trial executor — and runs
+// its strided share of the placement space through ForkSession.Exec:
+// the session restores the latest sound checkpoint before the
+// injection instant, injects, simulates only the suffix, and at every
+// checkpoint boundary after the injection compares the instance's
+// forward digest against the golden run's (a match is the convergence
+// cutoff: the golden suffix is spliced on). Boundaries that do not
+// converge are handed to the worker's visited-digest memo table: a
+// match means an earlier placement already simulated this exact
+// future, so its recorded suffix (writes, events, counter deltas) is
+// composed on instead of re-simulated.
 //
 // Soundness of the memo composition is argued in DESIGN.md
 // ("Digest-dedup soundness"); the load-bearing facts are that
@@ -28,9 +29,7 @@ package exhaust
 // reproduced bit-identically.
 
 import (
-	"repro/internal/des"
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -81,25 +80,19 @@ type mark struct {
 	mechOff, mechLen int
 }
 
-// worker owns one fork session and explores placements sequentially.
-// The injection and boundary-check callbacks are closures created once
-// per worker that read the worker's current-placement fields, so the
-// per-placement loop schedules events without allocating closures.
+// worker owns one fork session, its memo table and the marks of the
+// current placement, and explores placements sequentially. The
+// boundary and counter-collection callbacks are bound once per worker,
+// so the per-placement loop runs without allocating closures.
 type worker struct {
 	s       *fault.ForkSession
 	faults  []fault.Fault
 	noDedup bool
 	visited map[memoKey]*suffixMemo
 
-	// Current-placement state read by the bound callbacks.
-	f           fault.Fault
-	kernelFlag  bool
-	converged   bool
-	convergedAt int
-	memo        *suffixMemo
-	memoAt      int
-	nextCheck   int
-	collectOff  int
+	// memo is the current placement's memo hit (nil if none).
+	memo       *suffixMemo
+	collectOff int
 
 	// Reused buffers: steady-state capacity, truncate-refill per
 	// placement.
@@ -111,42 +104,19 @@ type worker struct {
 	endMechs    []mechCount
 	mechNames   []string
 
-	injectFn  func()
-	checkFn   func()
-	collectFn func(string, uint64)
+	boundaryFn func(int, uint64) bool
+	collectFn  func(string, uint64)
 
 	stats EngineStats
 }
 
-// newWorker builds a fork session (with full event streams) and the
-// bound callbacks.
-func newWorker(w fault.Workload, cfg *Config, faults []fault.Fault) (*worker, error) {
-	s, err := fault.NewForkSession(w, cfg.SnapshotInterval, true)
-	if err != nil {
-		return nil, err
-	}
+// newWorker binds a worker to a session with full event streams.
+func newWorker(s *fault.ForkSession, cfg *Config, faults []fault.Fault) *worker {
 	wk := &worker{s: s, faults: faults, noDedup: cfg.NoDedup,
 		visited: make(map[memoKey]*suffixMemo)}
-	wk.injectFn = func() { wk.inject() }
-	wk.checkFn = func() { wk.checkBoundary() }
+	wk.boundaryFn = wk.boundary
 	wk.collectFn = func(m string, n uint64) { wk.collectMech(m, n) }
-	return wk, nil
-}
-
-// inject applies the current placement — the planned-campaign decision
-// tree: no modelled kernel-hit coins, but a fault landing while the
-// kernel itself executes is always caught by the kernel EDMs (the
-// deterministic part of the model, identical to a planned
-// fault.Run trial's).
-//
-//nlft:noalloc
-func (wk *worker) inject() {
-	if wk.s.Inst.Kernel.Activity() == kernel.ActivityKernel {
-		wk.kernelFlag = true
-		wk.s.Inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
-		return
-	}
-	fault.ApplyFault(wk.s.Inst, wk.f)
+	return wk
 }
 
 // collectMech appends one detection counter to the arena segment that
@@ -167,91 +137,59 @@ func (wk *worker) collectMech(name string, n uint64) {
 	}
 }
 
-// checkBoundary fires at a checkpoint boundary after the injection (the
-// engine's hot loop: every simulated placement crosses every remaining
-// boundary until it converges, memo-hits, or reaches the horizon). It
-// is self-rearming like the campaign's convergence checker, so at
-// digest time no checker event is pending and the pending-event
-// multiset compares cleanly against the golden capture's.
+// boundary is the session's callback at every checkpoint boundary after
+// the injection that did not converge to the golden run (the engine's
+// hot loop: every simulated placement crosses every remaining boundary
+// until it converges, memo-hits, or reaches the horizon). A memo hit
+// stops the placement; a first visit records a mark, so this
+// placement's suffix becomes a memo at finalize.
 //
 //nlft:noalloc
-func (wk *worker) checkBoundary() {
-	b := wk.nextCheck
-	d := wk.s.Digest()
-	if d == wk.s.GoldenDigest(b) {
-		wk.converged = true
-		wk.convergedAt = b
-		wk.s.Inst.Sim.Stop()
-		return
+func (wk *worker) boundary(b int, d uint64) bool {
+	if wk.noDedup {
+		return false
 	}
-	if !wk.noDedup {
-		if m, ok := wk.visited[memoKey{b: b, digest: d}]; ok {
-			wk.memo = m
-			wk.memoAt = b
-			wk.s.Inst.Sim.Stop()
-			return
-		}
-		// First visit: record the boundary so this placement's suffix
-		// becomes a memo at finalize.
-		wk.collectOff = len(wk.mechArena)
-		wk.s.Inst.Kernel.EachDetected(wk.collectFn)
-		wk.marks = append(wk.marks, mark{
-			b:         b,
-			digest:    d,
-			writesLen: len(wk.s.Inst.Rec.Writes),
-			eventsLen: len(wk.s.Col.Events()),
-			omissions: wk.s.Inst.Rec.Omissions,
-			masked:    wk.s.Inst.Rec.MaskedReleases,
-			ecc:       wk.s.Inst.Kernel.Mem().CorrectedErrors,
-			mechOff:   wk.collectOff,
-			mechLen:   len(wk.mechArena) - wk.collectOff,
-		})
+	if m, ok := wk.visited[memoKey{b: b, digest: d}]; ok {
+		wk.memo = m
+		return true
 	}
-	wk.nextCheck++
-	if wk.nextCheck < wk.s.Checkpoints() {
-		wk.s.Inst.Sim.Schedule(wk.s.CheckpointAt(wk.nextCheck), des.PrioObserver, wk.checkFn)
-	}
+	inst := wk.s.Inst
+	wk.collectOff = len(wk.mechArena)
+	inst.Kernel.EachDetected(wk.collectFn)
+	wk.marks = append(wk.marks, mark{
+		b:         b,
+		digest:    d,
+		writesLen: len(inst.Rec.Writes),
+		eventsLen: len(wk.s.Col.Events()),
+		omissions: inst.Rec.Omissions,
+		masked:    inst.Rec.MaskedReleases,
+		ecc:       inst.Kernel.Mem().CorrectedErrors,
+		mechOff:   wk.collectOff,
+		mechLen:   len(wk.mechArena) - wk.collectOff,
+	})
+	return false
 }
 
-// runPlacement explores canonical placement i: restore the fork base,
-// swap the phantom for the real injection, arm the boundary checker,
-// run until the horizon or a cutoff, then compose and classify.
+// runPlacement explores canonical placement i on the session — the
+// planned-campaign decision tree: no modelled kernel-hit coins, but a
+// fault landing while the kernel itself executes is always caught by
+// the kernel EDMs — then composes and classifies it.
 func (wk *worker) runPlacement(i int) (fault.TrialRecord, []Violation, error) {
-	f := wk.faults[i]
-	ck := wk.s.Select(f.At)
-	wk.s.Restore(ck)
-
-	wk.f = f
-	wk.kernelFlag = false
-	wk.converged = false
 	wk.memo = nil
 	wk.marks = wk.marks[:0]
 	wk.mechArena = wk.mechArena[:0]
-	wk.s.Inst.Sim.Schedule(f.At, des.PrioInject, wk.injectFn)
-
-	wk.nextCheck = wk.s.Checkpoints()
-	for b := ck + 1; b < wk.s.Checkpoints(); b++ {
-		if wk.s.CheckpointAt(b) > f.At {
-			wk.nextCheck = b
-			break
-		}
-	}
-	if wk.nextCheck < wk.s.Checkpoints() {
-		wk.s.Inst.Sim.Schedule(wk.s.CheckpointAt(wk.nextCheck), des.PrioObserver, wk.checkFn)
-	}
-
-	err := wk.s.Inst.Sim.RunUntil(wk.s.Horizon())
-	if err := errStopOK(err, wk.converged || wk.memo != nil); err != nil {
+	run, err := wk.s.Exec(fault.TrialSpec{Fault: wk.faults[i]}, wk.boundaryFn)
+	if err != nil {
 		return fault.TrialRecord{}, nil, err
 	}
-	return wk.finalize(i)
+	return wk.finalize(i, run)
 }
 
 // finalize composes the placement's full-horizon result from the live
 // stop state plus (when a cutoff fired) the golden or memoized suffix,
 // classifies it exactly like a campaign trial, evaluates the verifier's
 // guarantees, and memoizes every boundary this placement crossed first.
-func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
+func (wk *worker) finalize(i int, run fault.ForkRun) (fault.TrialRecord, []Violation, error) {
 	inst := wk.s.Inst
 	wk.finalWrites = append(wk.finalWrites[:0], inst.Rec.Writes...)
 	wk.finalEvents = append(wk.finalEvents[:0], wk.s.Col.Events()...)
@@ -267,8 +205,8 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	wk.mechArena = wk.mechArena[:wk.collectOff]
 
 	switch {
-	case wk.converged:
-		b := wk.convergedAt
+	case run.Converged:
+		b := run.Stop
 		wk.finalWrites = append(wk.finalWrites, wk.s.Golden()[wk.s.GoldenWritesLen(b):]...)
 		wk.finalEvents = append(wk.finalEvents, wk.s.GoldenEvents()[wk.s.GoldenEventsLen(b):]...)
 		// Golden suffix: fault-free, so all counter deltas are zero and
@@ -291,7 +229,8 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	}
 	wk.stats.Placements++
 
-	rec := fault.TrialRecord{Fault: wk.f, Kernel: wk.kernelFlag}
+	f := wk.faults[i]
+	rec := fault.TrialRecord{Fault: f, Kernel: run.Kernel}
 	wk.mechNames = wk.mechNames[:0]
 	for _, mc := range wk.endMechs {
 		wk.mechNames = append(wk.mechNames, mc.name)
@@ -306,7 +245,7 @@ func (wk *worker) finalize(i int) (fault.TrialRecord, []Violation, error) {
 	rec.Outcome = fault.ClassifyRaw(failed, wk.finalWrites, omissions, masked,
 		ecc, wk.s.Golden(), false)
 
-	viols := checkPlacement(i, wk.f, wk.finalEvents, rec.Outcome, omissions)
+	viols := checkPlacement(i, f, wk.finalEvents, rec.Outcome, omissions)
 
 	if !wk.noDedup {
 		for _, mk := range wk.marks {

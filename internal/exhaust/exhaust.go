@@ -9,7 +9,7 @@
 // same style of exhaustive timed exploration to fault-tolerant
 // systems).
 //
-// The explorer reuses the campaign's checkpoint/fork engine
+// The explorer runs on the campaign engine's trial executor
 // (fault.ForkSession): each placement restores the latest sound golden
 // checkpoint before its injection instant and simulates only the
 // suffix. Two cutoffs bound the work:
@@ -70,12 +70,14 @@ type Config struct {
 	// SnapshotInterval is the fork checkpoint spacing (0 = the campaign
 	// engine's default).
 	SnapshotInterval des.Time
-	// NoFork simulates every placement from t=0 on a fresh instance —
-	// the independent reference path the differential tests compare
-	// against. Slow; results are identical either way.
+	// NoFork selects the reference oracle: every placement is simulated
+	// from t=0 on a fresh instance, with no fork engine at all. The
+	// differential tests and benches compare against it. Slow; results
+	// are identical either way.
 	NoFork bool
 	// NoDedup disables the visited-digest memo table (golden
-	// convergence still applies). Results are identical either way.
+	// convergence still applies) — the differential tests' second
+	// reference. Results are identical either way.
 	NoDedup bool
 	// Label tags the coverage certificate.
 	Label string
@@ -185,9 +187,9 @@ func VerifyFaults(w fault.Workload, cfg Config, faults []fault.Fault) (*Result, 
 	return run(w, &cfg, faults, nil)
 }
 
-// goldenObserved runs the workload fault-free with a full event stream
-// and validates the fault-free invariants the verifier's guarantees are
-// stated against.
+// goldenObserved runs the workload fault-free on a fresh instance with
+// a full event stream — the golden reference of the NoFork oracle,
+// which builds no fork session.
 func goldenObserved(w fault.Workload) ([]fault.Write, []obs.Event, error) {
 	inst, col, err := scratchInstance(w)
 	if err != nil {
@@ -196,20 +198,22 @@ func goldenObserved(w fault.Workload) ([]fault.Write, []obs.Event, error) {
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return nil, nil, err
 	}
-	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, nil, fmt.Errorf("exhaust: golden run failed silent: %s", reason)
+	if err := fault.CheckGolden(inst); err != nil {
+		return nil, nil, err
 	}
-	if inst.Rec.Omissions > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run had omissions; workload unschedulable")
-	}
-	events := col.Events()
+	return inst.Rec.Writes, col.Events(), nil
+}
+
+// checkGoldenEvents validates the fault-free invariants the verifier's
+// guarantees are stated against.
+func checkGoldenEvents(events []obs.Event) error {
 	if vs := obs.CheckInvariants(events); len(vs) > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
+		return fmt.Errorf("exhaust: golden run violates TEM invariants: %v", vs[0])
 	}
 	if vs := obs.CheckNoCriticalOmission(events); len(vs) > 0 {
-		return nil, nil, fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
+		return fmt.Errorf("exhaust: golden run omitted a critical release: %v", vs[0])
 	}
-	return inst.Rec.Writes, events, nil
+	return nil
 }
 
 // scratchInstance builds a fresh observed instance with an uncapped
@@ -226,19 +230,32 @@ func scratchInstance(w fault.Workload) (*fault.Instance, *obs.Collector, error) 
 }
 
 // run explores every placement of faults, fanned over workers with a
-// strided assignment (records land at their placement index, so the
-// canonical order is independent of workers and scheduling).
+// strided assignment in placement order (records land at their
+// placement index, so the canonical order is independent of workers and
+// scheduling). Worker 0's fork session is built first: its capture run
+// is the golden run every guarantee is checked against.
 func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Result, error) {
 	if len(faults) == 0 {
 		return nil, fmt.Errorf("exhaust: empty placement set")
 	}
-	golden, _, err := goldenObserved(w)
+	workers := min(cfg.Parallelism, len(faults))
+	sessions := make([]*fault.ForkSession, workers)
+	var golden []fault.Write
+	var events []obs.Event
+	var err error
+	if cfg.NoFork {
+		golden, events, err = goldenObserved(w)
+	} else {
+		sessions[0], err = fault.NewForkSession(w, cfg.SnapshotInterval, true)
+		if err == nil {
+			events = sessions[0].GoldenEvents()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Parallelism
-	if workers > len(faults) {
-		workers = len(faults)
+	if err := checkGoldenEvents(events); err != nil {
+		return nil, err
 	}
 	recs := make([]fault.TrialRecord, len(faults))
 	pviols := make([][]Violation, len(faults))
@@ -256,32 +273,30 @@ func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Re
 	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
-		wk := wk
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if cfg.NoFork {
-				for i := wk; i < len(faults); i += workers {
-					rec, vs, err := runScratchPlacement(w, faults[i], golden, i)
-					if err != nil {
-						errs[wk] = fmt.Errorf("exhaust: placement %d: %w", i, err)
+			place := func(i int) (fault.TrialRecord, []Violation, error) {
+				stats[wk].Placements++
+				stats[wk].Simulated++
+				return runScratchPlacement(w, faults[i], golden, i)
+			}
+			if !cfg.NoFork {
+				s := sessions[wk]
+				if s == nil {
+					if s, errs[wk] = fault.NewForkSession(w, cfg.SnapshotInterval, true); errs[wk] != nil {
 						return
 					}
-					recs[i] = rec
-					pviols[i] = vs
-					stats[wk].Placements++
-					stats[wk].Simulated++
-					progress()
 				}
-				return
-			}
-			wkr, err := newWorker(w, cfg, faults)
-			if err != nil {
-				errs[wk] = err
-				return
+				wkr := newWorker(s, cfg, faults)
+				defer func() {
+					wkr.stats.Checkpoints = s.Checkpoints()
+					stats[wk] = wkr.stats
+				}()
+				place = wkr.runPlacement
 			}
 			for i := wk; i < len(faults); i += workers {
-				rec, vs, err := wkr.runPlacement(i)
+				rec, vs, err := place(i)
 				if err != nil {
 					errs[wk] = fmt.Errorf("exhaust: placement %d: %w", i, err)
 					return
@@ -290,15 +305,11 @@ func run(w fault.Workload, cfg *Config, faults []fault.Fault, space *Space) (*Re
 				pviols[i] = vs
 				progress()
 			}
-			wkr.stats.Checkpoints = wkr.s.Checkpoints()
-			stats[wk] = wkr.stats
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Space:       space,
@@ -389,16 +400,4 @@ func checkPlacement(idx int, f fault.Fault, events []obs.Event, outcome fault.Ou
 			Detail: fmt.Sprintf("%d omission event(s), outcome %v", omissions, outcome)})
 	}
 	return out
-}
-
-// errStopOK filters the expected early-stop error.
-func errStopOK(err error, stopped bool) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, des.ErrStopped) && stopped:
-		return nil
-	default:
-		return err
-	}
 }

@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/kernel"
@@ -72,14 +70,16 @@ type CampaignConfig struct {
 	// but arrive from worker goroutines in completion (not trial) order.
 	OnProgress func(done, total int)
 
-	// NoFork disables the checkpoint/fork engine and simulates every
-	// trial from t=0. Forking is on by default: each worker captures
-	// full-machine snapshots of the fault-free prefix at checkpoint
-	// boundaries and every trial restores the latest sound checkpoint
-	// before its injection instant, simulating only the suffix. Results
-	// are bit-identical either way (see internal/fault/fork.go for the
-	// soundness argument; guarded by TestCampaignForkEquivalence and the
-	// digest pins).
+	// NoFork selects the from-scratch reference oracle: every trial is
+	// simulated from t=0 on a fresh instance. Forking is the default:
+	// each worker captures full-machine snapshots of the fault-free
+	// prefix at checkpoint boundaries and every trial restores the
+	// latest sound checkpoint before its injection instant, simulating
+	// only the suffix — and, in campaigns without Telemetry, stopping
+	// early once its state digest reconverges with the golden run's.
+	// Results are bit-identical either way (see internal/fault/fork.go
+	// for the soundness argument; guarded by TestCampaignForkEquivalence
+	// and the digest pins).
 	NoFork bool
 	// SnapshotInterval is the fork checkpoint spacing. Default (0):
 	// 250µs, or the workload's own SnapshotHinter value when that hint
@@ -89,14 +89,6 @@ type CampaignConfig struct {
 	// spacing is widened if needed so a horizon fits in the checkpoint
 	// store (see maxCheckpoints in fork.go).
 	SnapshotInterval des.Time
-	// NoConvergeCutoff disables the fork engine's convergence cutoff.
-	// When active (the default — but only for campaigns without
-	// Telemetry, whose suffix metrics and events cannot be skipped), a
-	// forked trial compares its forward state digest against the golden
-	// run's at checkpoint boundaries after the injection; on a match the
-	// remaining suffix is provably identical to the golden run's and the
-	// trial is classified without simulating it.
-	NoConvergeCutoff bool
 }
 
 func (c *CampaignConfig) applyDefaults() {
@@ -257,66 +249,6 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// tally is one worker's private aggregation; tallies are merged after
-// the pool drains so no lock sits on the per-trial hot path. Outcome
-// and per-target counters are flat arrays indexed by the enum values
-// (valid Outcomes/Targets start at 1, so slot 0 stays unused): the
-// per-trial record path touches no map buckets or hash functions, and
-// the merge walks array slots in index order, which is already the
-// canonical (declaration) order — no map iteration to neutralize.
-// Only the mechanism tally stays a map (mechanism names are an open
-// string set). All merges are pure additions, so the merge order
-// cannot influence the result.
-type tally struct {
-	counts      [NumOutcomes + 1]int
-	byTarget    [NumTargets + 1][NumOutcomes + 1]int
-	byMechanism map[string]int
-}
-
-func newTally() *tally {
-	return &tally{byMechanism: make(map[string]int)}
-}
-
-// record folds one settled trial into the worker's tally.
-//
-//nlft:merge
-func (t *tally) record(rec *TrialRecord) {
-	t.counts[rec.Outcome]++
-	t.byTarget[rec.Fault.Target][rec.Outcome]++
-	for _, m := range rec.Mechanisms {
-		t.byMechanism[m]++
-	}
-}
-
-// mergeInto adds the worker's tally to the Result's exported maps,
-// skipping empty slots so the map contents (and thus every digest or
-// report derived from them) match what the per-outcome map tallies
-// used to produce.
-//
-//nlft:merge
-func (t *tally) mergeInto(res *Result) {
-	for o, n := range t.counts {
-		if n > 0 {
-			res.Counts[Outcome(o)] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range t.byMechanism {
-		res.ByMechanism[m] += n
-	}
-	for target, counts := range t.byTarget {
-		for o, n := range counts {
-			if n == 0 {
-				continue
-			}
-			if res.ByTarget[Target(target)] == nil {
-				res.ByTarget[Target(target)] = make(map[Outcome]int)
-			}
-			res.ByTarget[Target(target)][Outcome(o)] += n
-		}
-	}
-}
-
 // newInstance builds a trial instance, attaching the collector when the
 // workload supports observation.
 func newInstance(w Workload, col *obs.Collector) (*Instance, error) {
@@ -328,23 +260,19 @@ func newInstance(w Workload, col *obs.Collector) (*Instance, error) {
 	return w.New()
 }
 
-// newTrialCollector builds a per-trial collector retaining up to
-// EventsPerTrial events. Used only when TelemetryEvents is set: the
-// event stream needs per-trial attribution and capping, so each trial
-// gets its own buffer. Metrics-only campaigns share one collector per
-// worker instead (the registry merge is commutative, so per-worker
-// aggregation is just as deterministic and far cheaper).
-func newTrialCollector(cfg *CampaignConfig) *obs.Collector {
+// newCollector builds one trial's collector for the campaign's
+// telemetry mode: events capped at EventsPerTrial with TelemetryEvents,
+// metrics only with Telemetry, nil without telemetry.
+func (c *CampaignConfig) newCollector() *obs.Collector {
+	if !c.Telemetry {
+		return nil
+	}
 	col := obs.NewCollector("")
-	col.SetEventLimit(cfg.EventsPerTrial)
-	return col
-}
-
-// newWorkerCollector builds a metrics-only collector shared by all
-// trials of one worker.
-func newWorkerCollector() *obs.Collector {
-	col := obs.NewCollector("")
-	col.SetEventLimit(-1) // metrics only
+	if c.TelemetryEvents {
+		col.SetEventLimit(c.EventsPerTrial)
+	} else {
+		col.SetEventLimit(-1) // metrics only
+	}
 	return col
 }
 
@@ -366,196 +294,37 @@ func recordTrialMetrics(col *obs.Collector, rec *TrialRecord) {
 	}
 }
 
-// Run executes the campaign on the workload. Trials are distributed over
-// cfg.Parallelism workers; each trial draws from its own RNG stream
-// derived from (Seed, trial index), so the result is bit-identical
-// whatever the worker count. Campaign phases (golden run, trials, merge)
-// are labeled with pprof labels, so -cpuprofile output attributes time
-// per phase.
+// Run executes the campaign on the workload: one span [0, Trials)
+// through the ShardRunner's slot loop, finalized exactly like a sharded
+// campaign. Trials are distributed over cfg.Parallelism slots; each
+// trial draws from its own RNG stream derived from (Seed, trial index),
+// so the result is bit-identical whatever the worker count. Campaign
+// phases (golden run, trials, merge) are labeled with pprof labels, so
+// -cpuprofile output attributes time per phase.
 func Run(w Workload, cfg CampaignConfig) (*Result, error) {
-	cfg.applyDefaults()
-	if w == nil {
-		return nil, fmt.Errorf("fault: nil workload")
+	r, err := newRunner(w, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Trials < 1 {
-		return nil, fmt.Errorf("fault: %d trials", cfg.Trials)
+	sp, err := r.span(0, r.cfg.Trials, r.plan)
+	if err != nil {
+		return nil, err
 	}
-	var goldenCol *obs.Collector
-	if cfg.TelemetryEvents {
-		goldenCol = obs.NewCollector("")
-		goldenCol.SetEventLimit(cfg.EventsPerTrial)
-	}
-	var golden []Write
-	var goldenErr error
-	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "golden-run"), func(context.Context) {
-		golden, goldenErr = goldenRun(w, goldenCol)
-	})
-	if goldenErr != nil {
-		return nil, goldenErr
-	}
-	if len(golden) == 0 {
-		return nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
-	}
-	res := &Result{
-		Config:      cfg,
-		Golden:      golden,
-		Counts:      make(map[Outcome]int),
-		ByMechanism: make(map[string]int),
-		ByTarget:    make(map[Target]map[Outcome]int),
-		Trials:      make([]TrialRecord, cfg.Trials),
-	}
-	if goldenCol != nil {
-		res.GoldenEvents = goldenCol.Events()
-	}
-	workers := cfg.Parallelism
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	// With TelemetryEvents, per-trial collectors (legacy path) or
-	// per-trial event copies (fork path) land at their trial index, so
-	// the event merge below runs in trial order no matter which worker
-	// produced them. Metrics-only campaigns use one collector per worker:
-	// the registry merge is commutative, so the aggregate is unchanged,
-	// and the per-trial setup/merge cost disappears. The fork path always
-	// aggregates per worker (its shared collector is rewound to the
-	// checkpoint each trial, so per-trial registries are merged into a
-	// worker accumulator as they settle).
-	var collectors []*obs.Collector
-	if cfg.TelemetryEvents && cfg.NoFork {
-		collectors = make([]*obs.Collector, cfg.Trials)
-	}
-	var workerCols []*obs.Collector
-	if cfg.Telemetry && !cfg.TelemetryEvents && cfg.NoFork {
-		workerCols = make([]*obs.Collector, workers)
-	}
-	var trialEvents [][]obs.Event
-	if cfg.TelemetryEvents && !cfg.NoFork {
-		trialEvents = make([][]obs.Event, cfg.Trials)
-	}
-	var workerRegs []*obs.Registry
-	if cfg.Telemetry && !cfg.NoFork {
-		workerRegs = make([]*obs.Registry, workers)
-	}
-	var plans []trialPlan
-	var workerSnaps []SnapshotStats
-	if !cfg.NoFork {
-		plans = planTrials(w, &cfg)
-		workerSnaps = make([]SnapshotStats, workers)
-	}
-	var progressMu sync.Mutex
-	progressDone := 0
-	tallies := make([]*tally, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wk := wk
-		wg.Add(1)
-		go pprof.Do(context.Background(),
-			pprof.Labels("campaign-phase", "trials", "campaign-worker", strconv.Itoa(wk)),
-			func(context.Context) {
-				defer wg.Done()
-				t := newTally()
-				tallies[wk] = t
-				progress := func() {
-					if cfg.OnProgress != nil {
-						progressMu.Lock()
-						progressDone++
-						cfg.OnProgress(progressDone, cfg.Trials)
-						progressMu.Unlock()
-					}
-				}
-				if !cfg.NoFork {
-					errs[wk] = runForkTrials(w, &cfg, wk, workers, golden, res, t,
-						plans, trialEvents, workerRegs, workerSnaps, progress)
-					return
-				}
-				var scratch trialScratch
-				var wcol *obs.Collector
-				if workerCols != nil {
-					wcol = newWorkerCollector()
-					workerCols[wk] = wcol
-				}
-				// Strided assignment: worker wk owns trials wk, wk+W, ….
-				// Each record lands at its own index, so the trial order of
-				// the Result is the sequential order regardless of workers.
-				for trial := wk; trial < cfg.Trials; trial += workers {
-					plan := planForTrial(w, &cfg, trial)
-					col := wcol
-					if collectors != nil {
-						col = newTrialCollector(&cfg)
-						collectors[trial] = col
-					}
-					rec, err := runTrial(w, cfg, plan, golden, &scratch, col)
-					if err != nil {
-						errs[wk] = fmt.Errorf("fault: trial %d: %w", trial, err)
-						return
-					}
-					recordTrialMetrics(col, &rec)
-					res.Trials[trial] = rec
-					t.record(&rec)
-					progress()
-				}
-			})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if workerSnaps != nil {
-		agg := &SnapshotStats{Workers: workers}
-		for _, s := range workerSnaps {
-			// Checkpoint count, page size, and RAM size are identical
-			// across workers; the traffic counters sum.
-			agg.Checkpoints = s.Checkpoints
-			agg.PageBytes = s.PageBytes
-			agg.RAMBytes = s.RAMBytes
-			agg.Snapshots += s.Snapshots
-			agg.Restores += s.Restores
-			agg.PagesCopied += s.PagesCopied
-			agg.PagesRestored += s.PagesRestored
-		}
-		res.Snapshots = agg
-	}
+	var res *Result
 	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "merge"), func(context.Context) {
-		for _, t := range tallies {
-			t.mergeInto(res)
-		}
-		if cfg.Telemetry {
-			reg := obs.NewRegistry()
-			for i, col := range collectors {
-				reg.Merge(col.Registry())
-				for _, e := range col.Events() {
-					e.Trial = i + 1
-					res.Events = append(res.Events, e)
-				}
-			}
-			for _, col := range workerCols {
-				if col != nil {
-					reg.Merge(col.Registry())
-				}
-			}
-			for i, evs := range trialEvents {
-				for _, e := range evs {
-					e.Trial = i + 1
-					res.Events = append(res.Events, e)
-				}
-			}
-			for _, r := range workerRegs {
-				if r != nil {
-					reg.Merge(r)
-				}
-			}
-			res.Metrics = reg
-		}
+		res, err = FinalizeSharded(r.cfg, r.golden, sp.records, &sp.tally, sp.metrics)
 	})
-	activated := res.Activated()
-	detected := res.Detected()
-	res.CD = stats.NewProportion(detected, activated)
-	res.PT = stats.NewProportion(res.Counts[Masked], detected)
-	res.POM = stats.NewProportion(res.Counts[Omission], detected)
-	res.PFS = stats.NewProportion(res.Counts[FailSilent], detected)
+	if err != nil {
+		return nil, err
+	}
+	res.GoldenEvents = r.goldenEvents
+	res.Snapshots = r.snapshotStats()
+	for i, evs := range sp.events {
+		for _, e := range evs {
+			e.Trial = i + 1
+			res.Events = append(res.Events, e)
+		}
+	}
 	return res, nil
 }
 
@@ -568,11 +337,8 @@ func goldenRun(w Workload, col *obs.Collector) ([]Write, error) {
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return nil, err
 	}
-	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, fmt.Errorf("fault: golden run failed silent: %s", reason)
-	}
-	if inst.Rec.Omissions > 0 {
-		return nil, fmt.Errorf("fault: golden run had omissions; workload unschedulable")
+	if err := CheckGolden(inst); err != nil {
+		return nil, err
 	}
 	return inst.Rec.Writes, nil
 }
@@ -588,6 +354,23 @@ func drawFault(w Workload, cfg CampaignConfig, rng *des.Rand) Fault {
 	f := Fault{At: at, Target: target}
 	drawLocus(w, &f, rng)
 	return f
+}
+
+// planForTrial returns one trial's spec: the enumerated placement when
+// cfg.Plan is set (planned campaigns toss no coins — the kernel-hit
+// model's deterministic part, the activity check at the injection
+// instant, still applies), otherwise the trial's draws on its
+// (Seed, index) stream in a pinned order: fault first, then the
+// kernel-hit coin, then (only on a hit) the kernel-detect coin.
+func planForTrial(w Workload, cfg *CampaignConfig, trial int) TrialSpec {
+	if cfg.Plan != nil {
+		return TrialSpec{Fault: cfg.Plan[trial]}
+	}
+	rng := des.NewRandIndexed(cfg.Seed, uint64(trial))
+	f := drawFault(w, *cfg, rng)
+	kh := rng.Bool(cfg.KernelShare)
+	kd := kh && rng.Bool(cfg.KernelDetect)
+	return TrialSpec{Fault: f, KernelHit: kh, KernelDetected: kd}
 }
 
 // DrawFaultIn draws a fault for a fixed target with its injection
@@ -660,52 +443,56 @@ func apply(inst *Instance, f Fault) {
 	}
 }
 
-// trialScratch holds per-worker buffers reused across trials to cut
-// allocation churn in large campaigns.
-type trialScratch struct {
-	mechs []string
+// inject applies spec's fault to a live instance — the campaign's
+// decision tree, shared by every executor. Whether the fault lands in
+// kernel execution was decided up front (the simulated kernel's logic
+// runs outside the simulated CPU, so its share of exposure is modelled
+// explicitly; see CampaignConfig): a modelled kernel hit is detected
+// with probability KernelDetect, and a fault landing while the kernel
+// itself executes (and not already modelled as a kernel hit) is always
+// caught by the kernel EDMs. It reports whether the fault hit kernel
+// execution and whether that hit escaped detection.
+//
+//nlft:noalloc
+func inject(inst *Instance, spec *TrialSpec) (kernelHit, undetected bool) {
+	inKernel := inst.Kernel.Activity() == kernel.ActivityKernel
+	if !spec.KernelHit && !inKernel {
+		apply(inst, spec.Fault)
+		return false, false
+	}
+	if spec.KernelDetected || (inKernel && !spec.KernelHit) {
+		inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
+		return true, false
+	}
+	return true, true
 }
 
-// runTrial executes one injection run and classifies it. The trial's
-// random decisions (or its enumerated placement, for planned campaigns)
-// arrive precomputed in plan — see planForTrial.
-func runTrial(w Workload, cfg CampaignConfig, plan trialPlan, golden []Write, scratch *trialScratch, col *obs.Collector) (TrialRecord, error) {
+// runTrial executes one injection run from t=0 on a fresh instance and
+// classifies it — the scratch reference path. mechs is a reused
+// mechanism buffer.
+func runTrial(w Workload, spec TrialSpec, golden []Write, mechs *[]string, col *obs.Collector) (TrialRecord, error) {
 	inst, err := newInstance(w, col)
 	if err != nil {
 		return TrialRecord{}, err
 	}
-	f := plan.fault
-	rec := TrialRecord{Fault: f}
-	// Whether this fault lands in kernel execution was decided up front:
-	// the simulated kernel's logic runs outside the simulated CPU, so its
-	// share of exposure is modelled explicitly (see CampaignConfig).
-	kernelHit := plan.kernelHit
-	kernelDetected := plan.kernelDetected
+	rec := TrialRecord{Fault: spec.Fault}
 	undetectedKernel := false
-
-	inst.Sim.Schedule(f.At, des.PrioInject, func() {
-		if kernelHit || inst.Kernel.Activity() == kernel.ActivityKernel {
-			rec.Kernel = true
-			// A modelled kernel hit is detected with probability
-			// KernelDetect; a fault that lands while the kernel itself is
-			// executing (and was not already modelled as a kernel hit) is
-			// always caught by the kernel EDMs.
-			if kernelDetected || (inst.Kernel.Activity() == kernel.ActivityKernel && !kernelHit) {
-				inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
-			} else {
-				undetectedKernel = true
-			}
-			return
-		}
-		apply(inst, f)
+	inst.Sim.Schedule(spec.Fault.At, des.PrioInject, func() {
+		rec.Kernel, undetectedKernel = inject(inst, &spec)
 	})
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return TrialRecord{}, err
 	}
+	rec.Mechanisms = mechanisms(inst, mechs)
+	rec.Outcome = classify(inst, inst.Rec.Writes, golden, undetectedKernel)
+	return rec, nil
+}
 
-	// Collect mechanism attributions into the reused scratch buffer and
-	// copy them into a right-sized slice for the record.
-	mechs := scratch.mechs[:0]
+// mechanisms lists the detection mechanisms that fired on inst, sorted,
+// in a right-sized slice (nil when none fired). buf is a reused
+// collection buffer.
+func mechanisms(inst *Instance, buf *[]string) []string {
+	mechs := (*buf)[:0]
 	st := inst.Kernel.Stats()
 	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
 	for m, n := range st.ErrorsDetected {
@@ -717,21 +504,22 @@ func runTrial(w Workload, cfg CampaignConfig, plan trialPlan, golden []Write, sc
 		mechs = append(mechs, "ecc")
 	}
 	sort.Strings(mechs)
-	scratch.mechs = mechs
-	if len(mechs) > 0 {
-		rec.Mechanisms = make([]string, len(mechs))
-		copy(rec.Mechanisms, mechs)
+	*buf = mechs
+	if len(mechs) == 0 {
+		return nil
 	}
-
-	rec.Outcome = classify(inst, golden, undetectedKernel)
-	return rec, nil
+	out := make([]string, len(mechs))
+	copy(out, mechs)
+	return out
 }
 
 // classify maps a finished trial onto the paper's outcome classes,
-// reading the observables off the live instance.
-func classify(inst *Instance, golden []Write, undetectedKernel bool) Outcome {
+// reading the counters off the live instance; writes is the trial's
+// full output sequence (the instance's own, or with a golden suffix
+// spliced on).
+func classify(inst *Instance, writes, golden []Write, undetectedKernel bool) Outcome {
 	failed, _ := inst.Kernel.Failed()
-	return ClassifyRaw(failed, inst.Rec.Writes, inst.Rec.Omissions,
+	return ClassifyRaw(failed, writes, inst.Rec.Omissions,
 		inst.Rec.MaskedReleases, inst.Kernel.Mem().CorrectedErrors,
 		golden, undetectedKernel)
 }

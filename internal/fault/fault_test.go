@@ -255,11 +255,11 @@ func BenchmarkCampaignTrial(b *testing.B) {
 	}
 	cfg := CampaignConfig{Trials: 1}
 	cfg.applyDefaults()
-	var scratch trialScratch
+	var mechs []string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		plan := planForTrial(w, &cfg, i)
-		if _, err := runTrial(w, cfg, plan, golden, &scratch, nil); err != nil {
+		spec := planForTrial(w, &cfg, i)
+		if _, err := runTrial(w, spec, golden, &mechs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,15 +46,12 @@ package fault
 //     (which differs from a from-scratch trial's) can never influence
 //     tie-breaking.
 //
-// The convergence cutoff (§ optional, metrics-free campaigns only) is
-// documented on checkConvergence below.
+// The executor that runs trials on this machinery, including the
+// convergence cutoff, is ForkSession (session.go).
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/kernel"
 	"repro/internal/obs"
@@ -87,13 +84,12 @@ const maxCheckpoints = 4096
 // cost negligible.
 const defaultForkInterval = 250 * des.Microsecond
 
-// resolveForkInterval picks the checkpoint spacing for a campaign:
-// explicit config wins; otherwise the 250 µs default, tightened to the
-// workload's hint when that is finer; pathologically small results are
-// clamped so the store stays bounded.
-func resolveForkInterval(w Workload, cfg *CampaignConfig) des.Time {
+// resolveForkInterval picks the checkpoint spacing: an explicit
+// (positive) interval wins; otherwise the 250 µs default, tightened to
+// the workload's hint when that is finer; pathologically small results
+// are clamped so the store stays bounded.
+func resolveForkInterval(w Workload, interval des.Time) des.Time {
 	horizon := w.Horizon()
-	interval := cfg.SnapshotInterval
 	if interval <= 0 {
 		interval = defaultForkInterval
 		if h, ok := w.(SnapshotHinter); ok {
@@ -221,284 +217,4 @@ func (cs *checkpointStore) selectFor(at des.Time) int {
 		best = k
 	}
 	return best
-}
-
-// trialPlan precomputes one trial's random decisions. The draws replay
-// runTrial's exact order on the trial's (Seed, index) stream — fault
-// first, then the kernel-hit coin, then (only on a hit) the
-// kernel-detect coin — so planned trials consume the stream identically
-// to legacy trials and every derived value is bit-equal.
-type trialPlan struct {
-	fault          Fault
-	kernelHit      bool
-	kernelDetected bool
-	// ckpt is the fork base, filled in per worker (every worker's
-	// deterministic capture yields the same checkpoint geometry).
-	ckpt int
-}
-
-// planForTrial precomputes one trial's decisions: the enumerated
-// placement when cfg.Plan is set (planned campaigns toss no coins — the
-// kernel-hit model's deterministic part, the activity check at the
-// injection instant, still applies), otherwise runTrial's exact draw
-// order on the trial's (Seed, index) stream.
-func planForTrial(w Workload, cfg *CampaignConfig, trial int) trialPlan {
-	if cfg.Plan != nil {
-		return trialPlan{fault: cfg.Plan[trial]}
-	}
-	rng := des.NewRandIndexed(cfg.Seed, uint64(trial))
-	f := drawFault(w, *cfg, rng)
-	kh := rng.Bool(cfg.KernelShare)
-	kd := kh && rng.Bool(cfg.KernelDetect)
-	return trialPlan{fault: f, kernelHit: kh, kernelDetected: kd}
-}
-
-// planTrials precomputes all trials' plans.
-func planTrials(w Workload, cfg *CampaignConfig) []trialPlan {
-	plans := make([]trialPlan, cfg.Trials)
-	for i := range plans {
-		plans[i] = planForTrial(w, cfg, i)
-	}
-	return plans
-}
-
-// forkWorker owns one instance, its checkpoint store, and the bound
-// per-trial callbacks. The injection and convergence callbacks are
-// closures created once per worker that read the worker's current-trial
-// fields, so the per-trial loop schedules events without allocating
-// closures.
-type forkWorker struct {
-	inst    *Instance
-	col     *obs.Collector
-	cs      *checkpointStore
-	golden  []Write
-	horizon des.Time
-	cutoff  bool
-
-	// Current-trial state read by the bound callbacks.
-	plan             trialPlan
-	rec              *TrialRecord
-	undetectedKernel bool
-	converged        bool
-	convergedAt      int
-	nextCheck        int
-
-	injectFn func()
-	checkFn  func()
-	splice   []Write
-	scratch  trialScratch
-}
-
-// runForkTrials is one worker's trial loop on the fork path: build an
-// instance, capture checkpoints, then run this worker's strided share
-// of the trials bucketed by fork base (ascending checkpoint index, so
-// consecutive trials restore the same snapshot and the restore source
-// stays cache-warm). Records land at their trial index, so Result order
-// is the sequential order regardless of workers or bucketing.
-func runForkTrials(w Workload, cfg *CampaignConfig, wk, workers int, golden []Write,
-	res *Result, t *tally, plans []trialPlan, trialEvents [][]obs.Event,
-	workerRegs []*obs.Registry, snaps []SnapshotStats, progress func()) error {
-	var col *obs.Collector
-	switch {
-	case cfg.TelemetryEvents:
-		col = newTrialCollector(cfg)
-	case cfg.Telemetry:
-		col = newWorkerCollector()
-	}
-	var accCol *obs.Collector
-	if cfg.Telemetry {
-		accCol = newWorkerCollector()
-		workerRegs[wk] = accCol.Registry()
-	}
-	fw, err := newForkWorker(w, cfg, col, golden)
-	if err != nil {
-		return err
-	}
-	mine := make([]int, 0, (cfg.Trials-wk+workers-1)/workers)
-	for trial := wk; trial < cfg.Trials; trial += workers {
-		plans[trial].ckpt = fw.cs.selectFor(plans[trial].fault.At)
-		mine = append(mine, trial)
-	}
-	sort.SliceStable(mine, func(a, b int) bool {
-		return plans[mine[a]].ckpt < plans[mine[b]].ckpt
-	})
-	for _, trial := range mine {
-		rec, err := fw.runTrial(plans[trial])
-		if err != nil {
-			return fmt.Errorf("fault: trial %d: %w", trial, err)
-		}
-		if accCol != nil {
-			// The shared collector's registry holds exactly this trial's
-			// full registry (checkpoint prefix + simulated suffix), like a
-			// legacy per-trial collector's; accumulate it before the next
-			// restore rewinds it.
-			accCol.Registry().Merge(col.Registry())
-		}
-		if trialEvents != nil {
-			trialEvents[trial] = append([]obs.Event(nil), col.Events()...)
-		}
-		recordTrialMetrics(accCol, &rec)
-		res.Trials[trial] = rec
-		t.record(&rec)
-		progress()
-	}
-	ms := fw.inst.Kernel.Mem()
-	snaps[wk] = SnapshotStats{
-		Workers:       1,
-		Checkpoints:   len(fw.cs.states),
-		PageBytes:     cpu.PageBytes,
-		RAMBytes:      uint64(ms.SizeBytes()),
-		Snapshots:     ms.Snap.Snapshots,
-		Restores:      ms.Snap.Restores,
-		PagesCopied:   ms.Snap.PagesCopied,
-		PagesRestored: ms.Snap.PagesRestored,
-	}
-	return nil
-}
-
-// newForkWorker builds a worker instance and captures its checkpoints.
-func newForkWorker(w Workload, cfg *CampaignConfig, col *obs.Collector, golden []Write) (*forkWorker, error) {
-	inst, err := newInstance(w, col)
-	if err != nil {
-		return nil, err
-	}
-	fw := &forkWorker{
-		inst:    inst,
-		col:     col,
-		golden:  golden,
-		horizon: w.Horizon(),
-		cutoff:  !cfg.NoConvergeCutoff && !cfg.Telemetry,
-	}
-	fw.injectFn = func() { fw.inject() }
-	fw.checkFn = func() { fw.checkConvergence() }
-	fw.cs, err = captureCheckpoints(inst, col, resolveForkInterval(w, cfg), fw.horizon)
-	if err != nil {
-		return nil, err
-	}
-	return fw, nil
-}
-
-// inject applies the current trial's fault — the same decision tree as
-// the legacy runTrial closure. A modelled kernel hit is detected with
-// probability KernelDetect; a fault landing while the kernel itself
-// executes (and not already modelled as a kernel hit) is always caught
-// by the kernel EDMs.
-func (fw *forkWorker) inject() {
-	if fw.plan.kernelHit || fw.inst.Kernel.Activity() == kernel.ActivityKernel {
-		fw.rec.Kernel = true
-		if fw.plan.kernelDetected || (fw.inst.Kernel.Activity() == kernel.ActivityKernel && !fw.plan.kernelHit) {
-			fw.inst.Kernel.ForceFailSilent("kernel EDM: assertion after fault")
-		} else {
-			fw.undetectedKernel = true
-		}
-		return
-	}
-	apply(fw.inst, fw.plan.fault)
-}
-
-// checkConvergence fires at a checkpoint boundary after the injection
-// and compares the trial's forward digest against the golden run's at
-// the same boundary. The digest covers everything that can influence
-// the remainder of the run — the clock, the pending-event multiset, the
-// processor, memory, and all live scheduler/TEM state (see
-// kernel.ForwardDigest) — so equality proves the trial's future is the
-// golden future and the suffix need not be simulated: the trial's
-// outcome is classified from its current counters plus the golden
-// suffix (whose omission/masking/detection deltas are zero, the golden
-// run being fault-free, and whose writes are spliced on).
-//
-// The checker is self-rearming: the next boundary's check is scheduled
-// only after the current one completes, so at digest time no checker
-// event is pending and the trial's pending-event multiset is compared
-// against the golden capture's without correction. Pending checker
-// events between boundaries can split the kernel's CPU slices at
-// boundary instants; a split slice resumes the same copy with no
-// context-switch overhead and no state change, so outcomes and
-// recorder-visible behaviour are unaffected.
-func (fw *forkWorker) checkConvergence() {
-	b := fw.nextCheck
-	if fw.inst.Kernel.ForwardDigest(des.Event{}) == fw.cs.states[b].fwdDigest {
-		fw.converged = true
-		fw.convergedAt = b
-		fw.inst.Sim.Stop()
-		return
-	}
-	fw.nextCheck++
-	if fw.nextCheck < len(fw.cs.states) {
-		fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
-	}
-}
-
-// runTrial executes one forked trial: restore the fork base, swap the
-// phantom for the real injection, run (with optional convergence
-// cutoff), and classify exactly like the legacy path.
-func (fw *forkWorker) runTrial(plan trialPlan) (TrialRecord, error) {
-	fw.inst.Restore(fw.cs.states[plan.ckpt], fw.col)
-	fw.inst.Sim.Cancel(fw.cs.phantom)
-
-	rec := TrialRecord{Fault: plan.fault}
-	fw.plan = plan
-	fw.rec = &rec
-	fw.undetectedKernel = false
-	fw.converged = false
-	fw.inst.Sim.Schedule(plan.fault.At, des.PrioInject, fw.injectFn)
-
-	if fw.cutoff {
-		fw.nextCheck = len(fw.cs.states)
-		for b := plan.ckpt + 1; b < len(fw.cs.states); b++ {
-			if fw.cs.states[b].at > plan.fault.At {
-				fw.nextCheck = b
-				break
-			}
-		}
-		if fw.nextCheck < len(fw.cs.states) {
-			fw.inst.Sim.Schedule(fw.cs.states[fw.nextCheck].at, des.PrioObserver, fw.checkFn)
-		}
-	}
-
-	err := fw.inst.Sim.RunUntil(fw.horizon)
-	switch {
-	case err == nil:
-	case errors.Is(err, des.ErrStopped) && fw.converged:
-	default:
-		return TrialRecord{}, err
-	}
-
-	// Mechanism attribution, identical to the legacy path. A converged
-	// trial's counters are final: the golden suffix is fault-free, so it
-	// contributes no detections (and the digest's memory fold proves no
-	// ECC flip was still pending at the cutoff).
-	mechs := fw.scratch.mechs[:0]
-	st := fw.inst.Kernel.Stats()
-	//nlft:allow nodeterminism collection order is erased by the sort.Strings below
-	for m, n := range st.ErrorsDetected {
-		if n > 0 {
-			mechs = append(mechs, m)
-		}
-	}
-	if fw.inst.Kernel.Mem().CorrectedErrors > 0 {
-		mechs = append(mechs, "ecc")
-	}
-	sort.Strings(mechs)
-	fw.scratch.mechs = mechs
-	if len(mechs) > 0 {
-		rec.Mechanisms = make([]string, len(mechs))
-		copy(rec.Mechanisms, mechs)
-	}
-
-	if fw.converged {
-		// Splice the golden suffix onto the trial's writes and classify
-		// the full sequence. The trial's omission/masking counters are
-		// already final (golden suffix deltas are zero).
-		wl := fw.cs.states[fw.convergedAt].writesLen
-		fw.splice = append(fw.splice[:0], fw.inst.Rec.Writes...)
-		fw.splice = append(fw.splice, fw.golden[wl:]...)
-		saved := fw.inst.Rec.Writes
-		fw.inst.Rec.Writes = fw.splice
-		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-		fw.inst.Rec.Writes = saved
-	} else {
-		rec.Outcome = classify(fw.inst, fw.golden, fw.undetectedKernel)
-	}
-	return rec, nil
 }

@@ -17,7 +17,6 @@ var forkEquivCases = []struct {
 }{
 	{"classify", CampaignConfig{Trials: 64, Seed: 7}},
 	{"classify-parallel", CampaignConfig{Trials: 64, Seed: 7, Parallelism: 3}},
-	{"classify-no-cutoff", CampaignConfig{Trials: 64, Seed: 7, NoConvergeCutoff: true}},
 	{"classify-odd-interval", CampaignConfig{Trials: 64, Seed: 7,
 		SnapshotInterval: 300 * des.Microsecond}},
 	{"metrics", CampaignConfig{Trials: 48, Seed: 11, Telemetry: true, Parallelism: 2}},
@@ -311,23 +310,22 @@ func TestResolveForkInterval(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{})
 	// The standard workload hints its 1ms period — coarser than the
 	// default, so the default wins.
-	if got := resolveForkInterval(w, &CampaignConfig{}); got != defaultForkInterval {
+	if got := resolveForkInterval(w, 0); got != defaultForkInterval {
 		t.Errorf("hinted interval %v, want the %v default", got, defaultForkInterval)
 	}
 	// A hint finer than the default tightens it.
 	fine := NewStdWorkload(StdWorkloadConfig{Period: 100 * des.Microsecond})
-	if got := resolveForkInterval(fine, &CampaignConfig{}); got != 100*des.Microsecond {
+	if got := resolveForkInterval(fine, 0); got != 100*des.Microsecond {
 		t.Errorf("finely hinted interval %v, want the 100us period", got)
 	}
-	if got := resolveForkInterval(w, &CampaignConfig{SnapshotInterval: 2 * des.Millisecond}); got != 2*des.Millisecond {
+	if got := resolveForkInterval(w, 2*des.Millisecond); got != 2*des.Millisecond {
 		t.Errorf("explicit interval %v, want 2ms", got)
 	}
-	cfg := &CampaignConfig{SnapshotInterval: 1}
-	if got := resolveForkInterval(w, cfg); got < w.Horizon()/maxCheckpoints {
+	if got := resolveForkInterval(w, 1); got < w.Horizon()/maxCheckpoints {
 		t.Errorf("interval %v below the %d-checkpoint clamp", got, maxCheckpoints)
 	}
 	nh := noHint{w}
-	if got := resolveForkInterval(nh, &CampaignConfig{}); got != defaultForkInterval {
+	if got := resolveForkInterval(nh, 0); got != defaultForkInterval {
 		t.Errorf("unhinted interval %v, want the %v default", got, defaultForkInterval)
 	}
 }

@@ -23,7 +23,7 @@ func TestCampaignPlanReplay(t *testing.T) {
 	cfg.applyDefaults()
 	plan := make([]Fault, cfg.Trials)
 	for i := range plan {
-		plan[i] = planForTrial(w, &cfg, i).fault
+		plan[i] = planForTrial(w, &cfg, i).Fault
 	}
 	got, err := Run(w, CampaignConfig{Plan: plan})
 	if err != nil {

@@ -1,26 +1,32 @@
 package fault
 
-// The range-restricted campaign entry point for the sharded
-// orchestrator (internal/shard). A worker process builds one
-// ShardRunner per campaign spec and runs every lease it wins through
-// it: the golden run and the per-slot checkpoint captures are paid
-// once and amortized across leases, so a lease costs only its trials'
-// post-injection suffixes — the same economics the fork engine gives a
-// serial campaign.
+// The span driver. Every campaign entry point runs its trials through
+// ShardRunner: Run executes the whole range [0, Trials) as one span, a
+// sharded worker (internal/shard) executes the lease ranges it wins,
+// and the adaptive campaign (internal/adapt) executes explicit
+// TrialSpec batches per round. A runner keeps its slots — one fork
+// session each (session.go) — warm across calls: the golden run and
+// the per-slot checkpoint captures are paid once and amortized, so a
+// span costs only its trials' post-injection suffixes.
 //
 // Why a shard is bit-identical to the same index range of a serial
-// run: every trial's plan is a pure function of (Seed, trial index)
-// (planForTrial), every trial executes on the same fork machinery
-// (forkWorker.runTrial / runTrial), records land at their trial index,
-// and all cross-trial aggregation — tally counts and the telemetry
-// registry — is commutative addition over per-trial contributions. No
-// part of a trial can observe which process, lease, or slot ran it.
+// run: every trial's spec is a pure function of (Seed, trial index)
+// (planForTrial), every trial executes on the same executor, records
+// land at their trial index, and all cross-trial aggregation — tally
+// counts and the telemetry registry — is commutative addition over
+// per-trial contributions. No part of a trial can observe which
+// process, lease, or slot ran it.
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"sync"
 
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -37,24 +43,20 @@ type TallyDelta struct {
 	ByMechanism map[string]int                       `json:"by_mechanism,omitempty"`
 }
 
-// add folds one worker-slot tally into the delta.
+// record folds one settled trial into the delta. Outcome and per-target
+// counters are flat arrays indexed by the enum values (valid Outcomes
+// and Targets start at 1, so slot 0 stays unused): the per-trial path
+// touches no map buckets except the open mechanism set.
 //
 //nlft:merge
-func (d *TallyDelta) add(t *tally) {
-	for o, n := range t.counts {
-		d.Counts[o] += n
-	}
-	for tg, counts := range t.byTarget {
-		for o, n := range counts {
-			d.ByTarget[tg][o] += n
-		}
-	}
-	//nlft:allow nodeterminism tally merge adds, which commutes; iteration order cannot affect the result
-	for m, n := range t.byMechanism {
+func (d *TallyDelta) record(rec *TrialRecord) {
+	d.Counts[rec.Outcome]++
+	d.ByTarget[rec.Fault.Target][rec.Outcome]++
+	for _, m := range rec.Mechanisms {
 		if d.ByMechanism == nil {
 			d.ByMechanism = make(map[string]int)
 		}
-		d.ByMechanism[m] += n
+		d.ByMechanism[m]++
 	}
 }
 
@@ -83,9 +85,9 @@ func (d *TallyDelta) Merge(o *TallyDelta) {
 	}
 }
 
-// ApplyTo folds the delta into a Result's exported maps with the skip-
-// zero semantics of the serial merge (tally.mergeInto), so the map
-// contents — and every digest derived from them — match a serial run's.
+// ApplyTo folds the delta into a Result's exported maps, skipping empty
+// slots, so the map contents — and every digest derived from them —
+// are identical for any shard partition and merge order.
 //
 //nlft:merge
 func (d *TallyDelta) ApplyTo(res *Result) {
@@ -126,27 +128,39 @@ type ShardResult struct {
 	Metrics *obs.RegistryWire
 }
 
-// shardSlot is one parallel execution slot of a ShardRunner: a fork
-// worker (instance + checkpoint store, built once and reused across
-// leases — restore fully rewinds it) or, on the NoFork path, just the
-// reusable trial scratch.
-type shardSlot struct {
-	fw      *forkWorker
-	col     *obs.Collector // fork-path instance collector, rewound per restore
-	scratch trialScratch
+// spanResult is one executed span before it takes wire form.
+type spanResult struct {
+	// records holds the span's trials in order.
+	records []TrialRecord
+	tally   TallyDelta
+	// metrics is the merged telemetry registry (nil without Telemetry).
+	metrics *obs.Registry
+	// events holds each trial's event stream (nil unless
+	// TelemetryEvents).
+	events [][]obs.Event
 }
 
-// ShardRunner executes arbitrary trial-index ranges of one campaign
-// configuration. Build one per campaign and feed it every lease: the
-// golden run happens at construction and each slot's checkpoint
-// capture on its first lease, so subsequent leases start injecting
-// immediately. Not safe for concurrent Run calls (each lease already
-// fans out over cfg.Parallelism slots internally).
+// slot is one parallel execution slot of a runner: a fork session built
+// on first use and reused across spans (restore fully rewinds it), or
+// on the NoFork path just the scratch oracle's mechanism buffer.
+type slot struct {
+	sess  *ForkSession
+	mechs []string
+}
+
+// ShardRunner executes trial spans of one campaign configuration:
+// arbitrary trial-index ranges (Run) or explicit spec batches
+// (RunSpecs). Build one per campaign and feed it every span: slot 0's
+// session is built at construction, and its capture run is the golden
+// run; the other slots capture on their first span, so later spans
+// start injecting immediately. Not safe for concurrent calls (each span
+// already fans out over cfg.Parallelism slots internally).
 type ShardRunner struct {
-	w      Workload
-	cfg    CampaignConfig
-	golden []Write
-	slots  []*shardSlot
+	w            Workload
+	cfg          CampaignConfig
+	golden       []Write
+	goldenEvents []obs.Event
+	slots        []*slot
 }
 
 // NewShardRunner validates the configuration and runs the golden run.
@@ -155,32 +169,77 @@ type ShardRunner struct {
 // (cfg.TelemetryEvents) are trial-ordered rather than additive, so
 // they are a serial-only feature and rejected too.
 func NewShardRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
-	if w == nil {
-		return nil, fmt.Errorf("fault: nil workload")
-	}
 	if cfg.Plan != nil {
 		return nil, fmt.Errorf("fault: planned campaigns cannot be sharded")
 	}
 	if cfg.TelemetryEvents {
 		return nil, fmt.Errorf("fault: per-trial event streams cannot be sharded; use Telemetry (metrics only)")
 	}
+	return newRunner(w, cfg)
+}
+
+// newRunner builds a runner for any configuration, planned and
+// event-collecting campaigns included.
+func newRunner(w Workload, cfg CampaignConfig) (*ShardRunner, error) {
+	if w == nil {
+		return nil, fmt.Errorf("fault: nil workload")
+	}
 	cfg.applyDefaults()
 	if cfg.Trials < 1 {
 		return nil, fmt.Errorf("fault: %d trials", cfg.Trials)
 	}
-	golden, err := goldenRun(w, nil)
+	r := &ShardRunner{w: w, cfg: cfg, slots: make([]*slot, cfg.Parallelism)}
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("campaign-phase", "golden-run"), func(context.Context) {
+		err = r.setup()
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(golden) == 0 {
+	if len(r.golden) == 0 {
 		return nil, fmt.Errorf("fault: golden run produced no outputs; workload broken")
 	}
-	return &ShardRunner{
-		w:      w,
-		cfg:    cfg,
-		golden: golden,
-		slots:  make([]*shardSlot, cfg.Parallelism),
-	}, nil
+	return r, nil
+}
+
+// setup builds slot 0 and takes the golden reference from its session;
+// the NoFork oracle has no session, so it runs a golden run of its own.
+func (r *ShardRunner) setup() error {
+	s0, err := r.slot(0)
+	if err != nil {
+		return err
+	}
+	if s0.sess != nil {
+		r.golden, r.goldenEvents = s0.sess.golden, s0.sess.goldenEvents
+		return nil
+	}
+	var col *obs.Collector
+	if r.cfg.TelemetryEvents {
+		col = r.cfg.newCollector()
+	}
+	if r.golden, err = goldenRun(r.w, col); err != nil {
+		return err
+	}
+	if col != nil {
+		r.goldenEvents = col.Events()
+	}
+	return nil
+}
+
+// slot returns slot k, building it on first use.
+func (r *ShardRunner) slot(k int) (*slot, error) {
+	if r.slots[k] == nil {
+		sl := &slot{}
+		if !r.cfg.NoFork {
+			s, err := newForkSession(r.w, r.cfg.SnapshotInterval, r.cfg.newCollector())
+			if err != nil {
+				return nil, err
+			}
+			sl.sess = s
+		}
+		r.slots[k] = sl
+	}
+	return r.slots[k], nil
 }
 
 // Config is the runner's configuration with defaults applied.
@@ -188,6 +247,9 @@ func (r *ShardRunner) Config() CampaignConfig { return r.cfg }
 
 // Golden is the fault-free output sequence.
 func (r *ShardRunner) Golden() []Write { return r.golden }
+
+// plan is the campaign's spec for a trial index.
+func (r *ShardRunner) plan(trial int) TrialSpec { return planForTrial(r.w, &r.cfg, trial) }
 
 // Run executes trials [lo, hi) and returns their records and additive
 // deltas. Any partition of [0, Trials) into Run calls — in any order,
@@ -197,140 +259,180 @@ func (r *ShardRunner) Run(lo, hi int) (*ShardResult, error) {
 	if lo < 0 || hi > r.cfg.Trials || lo >= hi {
 		return nil, fmt.Errorf("fault: shard range [%d, %d) outside campaign [0, %d)", lo, hi, r.cfg.Trials)
 	}
-	n := hi - lo
-	slots := len(r.slots)
-	if slots > n {
-		slots = n
+	sp, err := r.span(lo, hi, r.plan)
+	if err != nil {
+		return nil, err
 	}
-	out := &ShardResult{Lo: lo, Hi: hi, Records: make([]TrialRecord, n)}
-	tallies := make([]*tally, slots)
+	return &ShardResult{Lo: lo, Hi: hi, Records: sp.records, Tally: sp.tally,
+		Metrics: sp.metrics.Wire()}, nil
+}
+
+// RunSpecs executes an explicit batch of planned trials on the runner's
+// warm slots and returns their records in batch order. The batch is
+// independent of the campaign's trial range and seed: records[i] is
+// what any executor produces for specs[i]. The adaptive campaign runs
+// every round through it.
+func (r *ShardRunner) RunSpecs(specs []TrialSpec) ([]TrialRecord, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	sp, err := r.span(0, len(specs), func(i int) TrialSpec { return specs[i] })
+	if err != nil {
+		return nil, err
+	}
+	return sp.records, nil
+}
+
+// span executes trials [lo, hi), trial i running spec(i), over
+// min(Parallelism, hi-lo) slots. Slot k takes the strided share lo+k,
+// lo+k+slots, …; records land at their range offset, so the result
+// order is the trial order whatever the slot count.
+func (r *ShardRunner) span(lo, hi int, spec func(int) TrialSpec) (*spanResult, error) {
+	n := hi - lo
+	slots := min(len(r.slots), n)
+	out := &spanResult{records: make([]TrialRecord, n)}
+	if r.cfg.TelemetryEvents {
+		out.events = make([][]obs.Event, n)
+	}
+	tallies := make([]TallyDelta, slots)
 	regs := make([]*obs.Registry, slots)
 	errs := make([]error, slots)
+	var progressMu sync.Mutex
+	done := 0
+	progress := func() {
+		if r.cfg.OnProgress != nil {
+			progressMu.Lock()
+			done++
+			r.cfg.OnProgress(done, n)
+			progressMu.Unlock()
+		}
+	}
 	var wg sync.WaitGroup
 	for k := 0; k < slots; k++ {
-		k := k
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tallies[k] = newTally()
-			regs[k], errs[k] = r.runSlot(k, slots, lo, hi, out.Records, tallies[k])
-		}()
+		go pprof.Do(context.Background(),
+			pprof.Labels("campaign-phase", "trials", "campaign-worker", strconv.Itoa(k)),
+			func(context.Context) {
+				defer wg.Done()
+				regs[k], errs[k] = r.runSlot(k, slots, lo, spec, out, &tallies[k], progress)
+			})
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	for _, t := range tallies {
-		out.Tally.add(t)
+	for k := range tallies {
+		out.tally.Merge(&tallies[k])
 	}
 	if r.cfg.Telemetry {
-		merged := obs.NewRegistry()
+		out.metrics = obs.NewRegistry()
 		for _, reg := range regs {
-			merged.Merge(reg)
+			out.metrics.Merge(reg)
 		}
-		out.Metrics = merged.Wire()
 	}
 	return out, nil
 }
 
-// runSlot executes slot k's strided share of [lo, hi): trials
-// lo+k, lo+k+slots, …. Records land at their range offset, so the
-// result order is the trial-index order regardless of slot count.
-func (r *ShardRunner) runSlot(k, slots, lo, hi int, records []TrialRecord, t *tally) (*obs.Registry, error) {
+// runSlot executes slot k's strided share of the span, bucketed by fork
+// base (ascending checkpoint index, so consecutive trials restore the
+// same snapshot and the restore source stays cache-warm), and returns
+// the slot's telemetry registry.
+func (r *ShardRunner) runSlot(k, stride, lo int, spec func(int) TrialSpec, out *spanResult,
+	t *TallyDelta, progress func()) (*obs.Registry, error) {
+	sl, err := r.slot(k)
+	if err != nil {
+		return nil, err
+	}
+	type planned struct {
+		off, ckpt int
+		spec      TrialSpec
+	}
+	n := len(out.records)
+	plans := make([]planned, 0, (n-k+stride-1)/stride)
+	for off := k; off < n; off += stride {
+		p := planned{off: off, spec: spec(lo + off)}
+		if sl.sess != nil {
+			p.ckpt = sl.sess.Select(p.spec.Fault.At)
+		}
+		plans = append(plans, p)
+	}
+	sort.SliceStable(plans, func(a, b int) bool { return plans[a].ckpt < plans[b].ckpt })
+	var acc *obs.Collector
+	if r.cfg.Telemetry {
+		acc = obs.NewCollector("")
+		acc.SetEventLimit(-1) // metrics only
+	}
+	for _, p := range plans {
+		rec, col, err := r.exec(sl, p.spec)
+		if err != nil {
+			return nil, fmt.Errorf("fault: trial %d: %w", lo+p.off, err)
+		}
+		if acc != nil {
+			// col holds exactly this trial's full registry (checkpoint
+			// prefix + simulated suffix); accumulate it before the next
+			// trial rewinds or drops it.
+			acc.Registry().Merge(col.Registry())
+			if out.events != nil {
+				out.events[p.off] = append([]obs.Event(nil), col.Events()...)
+			}
+		}
+		recordTrialMetrics(acc, &rec)
+		out.records[p.off] = rec
+		t.record(&rec)
+		progress()
+	}
+	if acc == nil {
+		return nil, nil
+	}
+	return acc.Registry(), nil
+}
+
+// exec runs one trial on the slot and returns its record plus the
+// collector holding exactly that trial's telemetry: the fork session's
+// own collector, rewound by every restore, or on the NoFork path a
+// fresh one per trial (nil without telemetry).
+func (r *ShardRunner) exec(sl *slot, spec TrialSpec) (TrialRecord, *obs.Collector, error) {
+	if sl.sess != nil {
+		rec, err := sl.sess.RunTrial(spec)
+		return rec, sl.sess.Col, err
+	}
+	col := r.cfg.newCollector()
+	rec, err := runTrial(r.w, spec, r.golden, &sl.mechs, col)
+	return rec, col, err
+}
+
+// snapshotStats sums the checkpoint-store traffic over the runner's
+// fork sessions (nil on the NoFork path).
+func (r *ShardRunner) snapshotStats() *SnapshotStats {
 	if r.cfg.NoFork {
-		return r.runSlotScratch(k, slots, lo, hi, records, t)
+		return nil
 	}
-	s := r.slots[k]
-	if s == nil {
-		s = &shardSlot{}
-		if r.cfg.Telemetry {
-			s.col = newWorkerCollector()
+	agg := &SnapshotStats{PageBytes: cpu.PageBytes}
+	for _, sl := range r.slots {
+		if sl == nil {
+			continue
 		}
-		fw, err := newForkWorker(r.w, &r.cfg, s.col, r.golden)
-		if err != nil {
-			return nil, err
-		}
-		s.fw = fw
-		r.slots[k] = s
+		// Checkpoint count and RAM size are identical across sessions;
+		// the traffic counters sum.
+		ms := sl.sess.Inst.Kernel.Mem()
+		agg.Workers++
+		agg.Checkpoints = sl.sess.Checkpoints()
+		agg.RAMBytes = uint64(ms.SizeBytes())
+		agg.Snapshots += ms.Snap.Snapshots
+		agg.Restores += ms.Snap.Restores
+		agg.PagesCopied += ms.Snap.PagesCopied
+		agg.PagesRestored += ms.Snap.PagesRestored
 	}
-	// accCol accumulates exactly this lease's per-trial registries — the
-	// shard's telemetry delta. The slot's instance collector is rewound
-	// by every restore, so after a trial it holds that trial's full
-	// registry (checkpoint prefix + simulated suffix), exactly like the
-	// serial fork path's per-worker accumulation.
-	var accCol *obs.Collector
-	if r.cfg.Telemetry {
-		accCol = newWorkerCollector()
-	}
-	mine := make([]int, 0, (hi-lo-k+slots-1)/slots)
-	plans := make(map[int]trialPlan, cap(mine))
-	for trial := lo + k; trial < hi; trial += slots {
-		plan := planForTrial(r.w, &r.cfg, trial)
-		plan.ckpt = s.fw.cs.selectFor(plan.fault.At)
-		plans[trial] = plan
-		mine = append(mine, trial)
-	}
-	// Bucket by fork base like the serial engine: consecutive trials
-	// restore the same snapshot, keeping the restore source cache-warm.
-	sort.SliceStable(mine, func(a, b int) bool {
-		return plans[mine[a]].ckpt < plans[mine[b]].ckpt
-	})
-	for _, trial := range mine {
-		rec, err := s.fw.runTrial(plans[trial])
-		if err != nil {
-			return nil, fmt.Errorf("fault: trial %d: %w", trial, err)
-		}
-		if accCol != nil {
-			accCol.Registry().Merge(s.col.Registry())
-		}
-		recordTrialMetrics(accCol, &rec)
-		records[trial-lo] = rec
-		t.record(&rec)
-	}
-	if accCol != nil {
-		return accCol.Registry(), nil
-	}
-	return nil, nil
+	return agg
 }
 
-// runSlotScratch is the NoFork slot loop: every trial simulates from
-// t=0 on a fresh instance, with a per-lease metrics collector whose
-// registry is the slot's additive delta.
-func (r *ShardRunner) runSlotScratch(k, slots, lo, hi int, records []TrialRecord, t *tally) (*obs.Registry, error) {
-	s := r.slots[k]
-	if s == nil {
-		s = &shardSlot{}
-		r.slots[k] = s
-	}
-	var col *obs.Collector
-	if r.cfg.Telemetry {
-		col = newWorkerCollector()
-	}
-	for trial := lo + k; trial < hi; trial += slots {
-		plan := planForTrial(r.w, &r.cfg, trial)
-		rec, err := runTrial(r.w, r.cfg, plan, r.golden, &s.scratch, col)
-		if err != nil {
-			return nil, fmt.Errorf("fault: trial %d: %w", trial, err)
-		}
-		recordTrialMetrics(col, &rec)
-		records[trial-lo] = rec
-		t.record(&rec)
-	}
-	if col != nil {
-		return col.Registry(), nil
-	}
-	return nil, nil
-}
-
-// FinalizeSharded assembles a campaign Result from shard-merged parts,
-// exactly as the serial merge phase does: the tally delta folds into
-// the exported maps with skip-zero semantics, the merged registry
-// becomes Result.Metrics when telemetry was collected, and the §3.2.2
-// estimators are computed from the folded counts. Snapshots stays nil
-// (checkpoint-store traffic is a per-process diagnostic, not part of
-// the campaign's observable result).
+// FinalizeSharded assembles a campaign Result from span-merged parts —
+// the last step of both Run and the coordinator's fold: the tally delta
+// folds into the exported maps with skip-zero semantics, the merged
+// registry becomes Result.Metrics when telemetry was collected, and the
+// §3.2.2 estimators are computed from the folded counts. Snapshots
+// stays nil (checkpoint-store traffic is a per-process diagnostic, not
+// part of the campaign's observable result; Run fills it in).
 func FinalizeSharded(cfg CampaignConfig, golden []Write, trials []TrialRecord, delta *TallyDelta, metrics *obs.Registry) (*Result, error) {
 	cfg.applyDefaults()
 	if len(trials) != cfg.Trials {

@@ -64,45 +64,58 @@ func requireResultsEqual(t *testing.T, got, want *Result, label string) {
 
 // TestShardRunEquivalence: any partition of the trial range, run at any
 // slot parallelism and merged in any order, reproduces the serial
-// campaign bit-for-bit — records, tallies, registry, digest.
+// campaign bit-for-bit — records, tallies, registry, digest — on the
+// fork executor and on the scratch (NoFork) oracle alike.
 func TestShardRunEquivalence(t *testing.T) {
-	w := NewStdWorkload(StdWorkloadConfig{})
-	cfg := CampaignConfig{Trials: 64, Seed: 7, Telemetry: true}
-
-	serialCfg := cfg
-	serialCfg.Parallelism = 2
-	want, err := Run(w, serialCfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		w          Workload
+		cfg        CampaignConfig
+		partitions [][][2]int
+	}{
+		{"fork", NewStdWorkload(StdWorkloadConfig{}),
+			CampaignConfig{Trials: 64, Seed: 7, Telemetry: true},
+			[][][2]int{
+				{{0, 64}},
+				{{0, 21}, {21, 40}, {40, 64}},
+				{{48, 64}, {0, 16}, {32, 48}, {16, 32}}, // out-of-order arrival
+			}},
+		{"no-fork", NewStdWorkload(StdWorkloadConfig{ECC: true}),
+			CampaignConfig{Trials: 24, Seed: 3, NoFork: true, Telemetry: true},
+			[][][2]int{{{12, 24}, {0, 12}}}},
 	}
-
-	partitions := [][][2]int{
-		{{0, 64}},
-		{{0, 21}, {21, 40}, {40, 64}},
-		{{48, 64}, {0, 16}, {32, 48}, {16, 32}}, // out-of-order arrival
-	}
-	for _, parallelism := range []int{1, 3} {
-		shardCfg := cfg
-		shardCfg.Parallelism = parallelism
-		runner, err := NewShardRunner(w, shardCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pi, ranges := range partitions {
-			shards := make([]*ShardResult, 0, len(ranges))
-			for _, rg := range ranges {
-				sr, err := runner.Run(rg[0], rg[1])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serialCfg := tc.cfg
+			serialCfg.Parallelism = 2
+			want, err := Run(tc.w, serialCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parallelism := range []int{1, 3} {
+				shardCfg := tc.cfg
+				shardCfg.Parallelism = parallelism
+				runner, err := NewShardRunner(tc.w, shardCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				shards = append(shards, sr)
+				for pi, ranges := range tc.partitions {
+					shards := make([]*ShardResult, 0, len(ranges))
+					for _, rg := range ranges {
+						sr, err := runner.Run(rg[0], rg[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						shards = append(shards, sr)
+					}
+					got := mergeShards(t, shardCfg, runner.Golden(), shards)
+					requireResultsEqual(t, got, want,
+						// Parallelism differs between the serial and sharded
+						// configs by design; the digest must not see it.
+						fmtLabel("parallelism", parallelism, "partition", pi))
+				}
 			}
-			got := mergeShards(t, shardCfg, runner.Golden(), shards)
-			requireResultsEqual(t, got, want,
-				// Parallelism differs between the serial and sharded
-				// configs by design; the digest must not see it.
-				fmtLabel("parallelism", parallelism, "partition", pi))
-		}
+		})
 	}
 }
 
@@ -111,28 +124,55 @@ func fmtLabel(args ...interface{}) string {
 	return string(b)
 }
 
-// TestShardRunEquivalenceNoFork covers the scratch (NoFork) slot loop.
-func TestShardRunEquivalenceNoFork(t *testing.T) {
+// TestRunSpecsMatchesScratch: a runner executing explicit spec batches
+// across several calls on warm slots — the adaptive campaign's round
+// loop — matches the from-scratch oracle record for record, at any slot
+// count, kernel-coin branches included.
+func TestRunSpecsMatchesScratch(t *testing.T) {
 	w := NewStdWorkload(StdWorkloadConfig{ECC: true})
-	cfg := CampaignConfig{Trials: 24, Seed: 3, NoFork: true, Telemetry: true, Parallelism: 2}
-	want, err := Run(w, cfg)
+	cfg := CampaignConfig{Seed: 5}
+	cfg.applyDefaults()
+	specs := make([]TrialSpec, 60)
+	for i := range specs {
+		specs[i] = planForTrial(w, &cfg, i)
+	}
+	specs[3].KernelHit, specs[3].KernelDetected = true, false // undetected kernel hit
+	specs[4].KernelHit, specs[4].KernelDetected = true, true
+	golden, err := GoldenWrites(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := NewShardRunner(w, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var oracle ScratchRunner
+	want := make([]TrialRecord, len(specs))
+	for i, spec := range specs {
+		if want[i], err = oracle.RunTrial(w, spec, golden); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var shards []*ShardResult
-	for _, rg := range [][2]int{{12, 24}, {0, 12}} {
-		sr, err := runner.Run(rg[0], rg[1])
+	for _, parallelism := range []int{1, 3} {
+		runner, err := NewShardRunner(w, CampaignConfig{Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, sr)
+		for _, b := range [][2]int{{0, 7}, {7, 8}, {8, 40}, {40, 60}, {0, 60}} {
+			got, err := runner.RunSpecs(specs[b[0]:b[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != b[1]-b[0] {
+				t.Fatalf("batch %v: %d records", b, len(got))
+			}
+			for i, rec := range got {
+				if !reflect.DeepEqual(rec, want[b[0]+i]) {
+					t.Errorf("parallelism %d, batch %v, spec %d: runner %+v, scratch %+v",
+						parallelism, b, b[0]+i, rec, want[b[0]+i])
+				}
+			}
+		}
+		if got, err := runner.RunSpecs(nil); err != nil || got != nil {
+			t.Errorf("empty batch: %v, %v", got, err)
+		}
 	}
-	got := mergeShards(t, cfg, runner.Golden(), shards)
-	requireResultsEqual(t, got, want, "nofork")
 }
 
 // TestShardRunIdempotent: re-running a range on a warm runner (the

@@ -446,6 +446,35 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecTrialsBound: a trial count above MaxTrials is an error from
+// Validate and over POST /campaigns — never an allocation panic or an
+// out-of-memory coordinator — and the bound itself is accepted.
+func TestSpecTrialsBound(t *testing.T) {
+	for _, n := range []int{MaxTrials + 1, 1 << 62} {
+		spec := CampaignSpec{Trials: n}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("trials %d accepted by Validate", n)
+		}
+	}
+	if err := (&CampaignSpec{Trials: MaxTrials}).Validate(); err != nil {
+		t.Errorf("trials = MaxTrials rejected: %v", err)
+	}
+	c := NewCoordinator(CoordinatorOptions{})
+	if _, err := c.Submit(CampaignSpec{Trials: 1 << 62}); err == nil {
+		t.Error("trials 1<<62 accepted by Submit")
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns",
+		strings.NewReader(`{"trials": 4611686018427387904, "seed": 1}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST /campaigns with trials 1<<62: status %d, want %d (body %s)",
+			rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "trials") {
+		t.Errorf("rejection does not name the field: %s", rec.Body)
+	}
+}
+
 // TestFrameCodec covers the framing edge cases directly.
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer

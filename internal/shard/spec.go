@@ -32,6 +32,13 @@ import (
 // and large enough to amortize one round-trip per lease.
 const DefaultLeaseSize = 512
 
+// MaxTrials bounds CampaignSpec.Trials. The coordinator holds every
+// record of a campaign until it finishes — 80 bytes each before their
+// mechanism slices — so 1<<24 trials is about 1.3 GB of records, well
+// above the largest documented run (1,000,000 trials) and far below a
+// count that would exhaust memory or overflow an allocation.
+const MaxTrials = 1 << 24
+
 // CampaignSpec is the wire form of a campaign submission: the standard
 // workload's knobs plus the campaign parameters the sharded path
 // supports. Per-trial event streams (TelemetryEvents) and enumerated
@@ -39,7 +46,8 @@ const DefaultLeaseSize = 512
 // construction. The zero value of every optional field means "the
 // campaign layer's default".
 type CampaignSpec struct {
-	// Trials is the number of injection runs. Required (>= 1).
+	// Trials is the number of injection runs. Required, in
+	// [1, MaxTrials].
 	Trials int `json:"trials"`
 	// Seed drives all random choices.
 	Seed uint64 `json:"seed"`
@@ -58,12 +66,8 @@ type CampaignSpec struct {
 
 	// Telemetry merges every trial's metrics registry into the result.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// NoFork disables the checkpoint/fork engine on workers.
-	NoFork bool `json:"no_fork,omitempty"`
 	// SnapshotIntervalNs overrides the fork checkpoint spacing.
 	SnapshotIntervalNs int64 `json:"snapshot_interval_ns,omitempty"`
-	// NoConvergeCutoff disables the post-injection early stop.
-	NoConvergeCutoff bool `json:"no_converge_cutoff,omitempty"`
 
 	// LeaseSize is the trials-per-lease granule (0 = DefaultLeaseSize).
 	LeaseSize int `json:"lease_size,omitempty"`
@@ -71,8 +75,8 @@ type CampaignSpec struct {
 
 // Validate checks the spec without building anything.
 func (s *CampaignSpec) Validate() error {
-	if s.Trials < 1 {
-		return fmt.Errorf("shard: spec needs trials >= 1 (got %d)", s.Trials)
+	if s.Trials < 1 || s.Trials > MaxTrials {
+		return fmt.Errorf("shard: spec needs 1 <= trials <= %d (got %d)", MaxTrials, s.Trials)
 	}
 	if s.Compute < 0 {
 		return fmt.Errorf("shard: negative compute %d", s.Compute)
@@ -131,9 +135,7 @@ func (s *CampaignSpec) Config(parallelism int) (fault.CampaignConfig, error) {
 		KernelDetect:     s.KernelDetect,
 		Parallelism:      parallelism,
 		Telemetry:        s.Telemetry,
-		NoFork:           s.NoFork,
 		SnapshotInterval: des.Time(s.SnapshotIntervalNs),
-		NoConvergeCutoff: s.NoConvergeCutoff,
 	}, nil
 }
 
