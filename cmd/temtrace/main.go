@@ -1,18 +1,21 @@
 // Command temtrace replays the four temporal-error-masking scenarios of
-// the paper's Figure 3 on the simulated kernel and prints the kernel
-// trace for each: (i) fault-free double execution, (ii) an error caught
-// by the comparison, (iii)/(iv) errors caught by a hardware EDM in the
-// second/first copy with context restore and immediate re-execution.
+// the paper's Figure 3 on the simulated kernel and prints the kernel's
+// event stream for each: (i) fault-free double execution, (ii) an error
+// caught by the comparison, (iii)/(iv) errors caught by a hardware EDM
+// in the second/first copy with context restore and immediate
+// re-execution. Each printed record carries its scenario's node label
+// (fig3-i … fig3-iv) and includes the scheduler's dispatch records.
 //
-// With -trace-out the structured event stream of all four scenarios
-// (each under its scenario label) is exported as JSONL; with
-// -metrics-out the merged metrics registry is exported as JSON (or CSV
-// when the filename ends in .csv).
+// With -trace-out the same stream of all four scenarios is exported as
+// JSONL, one record per printed event line; with -metrics-out the
+// merged metrics registry is exported as JSON (or CSV when the filename
+// ends in .csv).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cpu"
@@ -45,26 +48,20 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the structured event stream of all scenarios as JSONL")
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry (JSON, or CSV if the name ends in .csv)")
 	flag.Parse()
-	if err := run(*traceOut, *metricsOut); err != nil {
+	if err := run(os.Stdout, *traceOut, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "temtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(traceOut, metricsOut string) error {
+func run(w io.Writer, traceOut, metricsOut string) error {
 	prog, err := cpu.Assemble(taskSrc)
 	if err != nil {
 		return err
 	}
 	// One collector across all scenarios; each runs under its own node
-	// label so the exported stream distinguishes them.
-	var col *obs.Collector
-	if traceOut != "" || metricsOut != "" {
-		col = obs.NewCollector("")
-		if traceOut == "" {
-			col.SetEventLimit(-1) // metrics only
-		}
-	}
+	// label so the printed and exported stream distinguishes them.
+	col := obs.NewCollector("")
 	scenarios := []struct {
 		id     string
 		name   string
@@ -93,13 +90,12 @@ func run(traceOut, metricsOut string) error {
 			}},
 	}
 	for _, sc := range scenarios {
-		fmt.Printf("=== Figure 3 %s ===\n    %s\n", sc.name, sc.legend)
+		fmt.Fprintf(w, "=== Figure 3 %s ===\n    %s\n", sc.name, sc.legend)
 		sim := des.New()
-		trace := &kernel.Trace{}
 		e := &env{}
 		scol := col.Labeled(sc.id)
 		obs.AttachSimulator(scol, sim)
-		k := kernel.New(sim, e, kernel.Config{Trace: trace, Obs: scol})
+		k := kernel.New(sim, e, kernel.Config{Obs: scol})
 		spec := kernel.TaskSpec{
 			Name:        "T",
 			Program:     prog,
@@ -120,25 +116,26 @@ func run(traceOut, metricsOut string) error {
 			return err
 		}
 		sc.inject(sim, k)
+		first := len(col.Events())
 		if err := sim.RunUntil(des.Millisecond / 2); err != nil {
 			return err
 		}
-		for _, ev := range trace.Events {
-			fmt.Println("   ", ev)
+		for _, ev := range col.Events()[first:] {
+			fmt.Fprintln(w, "   ", ev)
 		}
-		fmt.Printf("    delivered: %v (expected [500500])\n\n", e.delivered)
+		fmt.Fprintf(w, "    delivered: %v (expected [500500])\n\n", e.delivered)
 	}
 	if traceOut != "" {
 		if err := obs.WriteEventsFile(traceOut, col.Events()); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d events to %s\n", len(col.Events()), traceOut)
+		fmt.Fprintf(w, "wrote %d events to %s\n", len(col.Events()), traceOut)
 	}
 	if metricsOut != "" {
 		if err := col.Registry().WriteMetricsFile(metricsOut); err != nil {
 			return err
 		}
-		fmt.Printf("wrote metrics to %s\n", metricsOut)
+		fmt.Fprintf(w, "wrote metrics to %s\n", metricsOut)
 	}
 	return nil
 }

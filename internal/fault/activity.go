@@ -16,8 +16,6 @@ package fault
 // it (internal/adapt).
 
 import (
-	"fmt"
-
 	"repro/internal/des"
 )
 
@@ -61,8 +59,8 @@ func ActivityWindows(w Workload) ([]Interval, error) {
 	if err := inst.Sim.RunUntil(w.Horizon()); err != nil {
 		return nil, err
 	}
-	if failed, reason := inst.Kernel.Failed(); failed {
-		return nil, fmt.Errorf("fault: golden run failed silent: %s", reason)
+	if err := CheckGolden(inst); err != nil {
+		return nil, err
 	}
 	return wins, nil
 }

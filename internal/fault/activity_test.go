@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -68,6 +69,19 @@ func TestActivityWindowsExact(t *testing.T) {
 		if want && rec.Outcome != FailSilent {
 			t.Errorf("at %v: in-window outcome = %v, want FailSilent", at, rec.Outcome)
 		}
+	}
+}
+
+// TestActivityWindowsRejectsOmittingGolden: a fault-free run that omits
+// releases is not a valid golden run, so ActivityWindows rejects it just
+// as GoldenWrites does.
+func TestActivityWindowsRejectsOmittingGolden(t *testing.T) {
+	w := NewStdWorkload(StdWorkloadConfig{ECC: true, Deadline: 5 * des.Microsecond, PermanentThreshold: 100})
+	if _, err := GoldenWrites(w); err == nil || !strings.Contains(err.Error(), "omissions") {
+		t.Fatalf("GoldenWrites error = %v, want an omission rejection", err)
+	}
+	if _, err := ActivityWindows(w); err == nil || !strings.Contains(err.Error(), "omissions") {
+		t.Errorf("ActivityWindows error = %v, want an omission rejection", err)
 	}
 }
 

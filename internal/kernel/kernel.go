@@ -61,12 +61,10 @@ type Config struct {
 	// signature — the cheaper comparison §2.6 warns lets state
 	// corruption escape.
 	CompareOutputsOnly bool
-	// Trace, when non-nil, records kernel events.
-	Trace *Trace
 	// Obs, when non-nil, receives structured telemetry: typed event
 	// records for every TEM state-machine step plus counters and
-	// histograms in the collector's registry (see internal/obs). Trace
-	// and Obs are independent sinks; either or both may be set.
+	// histograms in the collector's registry (see internal/obs). It is
+	// the kernel's only event sink.
 	Obs *obs.Collector
 }
 
@@ -131,12 +129,12 @@ type OutcomeInfo struct {
 	SettledAt      des.Time
 	Outcome        Outcome
 	ErrorsDetected int
-	DetectedBy     []string
 }
 
 // Kernel is a simulated fault-tolerant real-time kernel bound to one
 // simulated processor, driven by a des.Simulator.
 type Kernel struct {
+	//nlft:snapshot-skip configuration fixed at construction; the Obs collector is snapshotted by the fault engine's InstanceState
 	cfg Config
 	//nlft:snapshot-skip simulator wiring; the des core snapshots its own state
 	sim  *des.Simulator
@@ -420,46 +418,15 @@ func (k *Kernel) Trigger(name string) error {
 	return nil
 }
 
-// obsKinds maps kernel trace kinds onto the structured telemetry kinds.
-var obsKinds = map[EventKind]obs.Kind{
-	TraceRelease:         obs.KindRelease,
-	TraceCopyStart:       obs.KindCopyStart,
-	TraceCopyEnd:         obs.KindCopyEnd,
-	TracePreempt:         obs.KindPreempt,
-	TraceResume:          obs.KindResume,
-	TraceErrorDetected:   obs.KindErrorDetected,
-	TraceCompareMatch:    obs.KindCompareMatch,
-	TraceCompareMismatch: obs.KindCompareMismatch,
-	TraceVote:            obs.KindVote,
-	TraceCommit:          obs.KindCommit,
-	TraceOmission:        obs.KindOmission,
-	TraceTaskShutdown:    obs.KindTaskShutdown,
-	TraceNodeFailSilent:  obs.KindFailSilent,
-	TraceStateCRCError:   obs.KindStateCRCError,
-}
-
-// trace appends to the configured trace sink and mirrors the record into
-// the structured telemetry stream. Release records carry the task's
-// criticality as the telemetry detail so stream consumers (the invariant
-// checker) can tell TEM tasks from single-copy ones.
+// trace emits one record into the structured telemetry stream; it is a
+// no-op when the kernel has no collector.
 //
 //nlft:noalloc
-func (k *Kernel) trace(kind EventKind, task string, copyIdx int, detail string) {
-	if k.cfg.Trace == nil && k.cfg.Obs == nil {
+func (k *Kernel) trace(kind obs.Kind, task string, copyIdx int, detail string) {
+	if k.cfg.Obs == nil {
 		return
 	}
-	k.cfg.Trace.add(TraceEvent{At: k.sim.Now(), Kind: kind, Task: task, Copy: copyIdx, Detail: detail})
-	if k.cfg.Obs != nil {
-		obsDetail := detail
-		if kind == TraceRelease && obsDetail == "" {
-			if t, ok := k.tasks[task]; ok {
-				obsDetail = t.spec.Criticality.String()
-			}
-		}
-		k.cfg.Obs.Emit(obs.Event{
-			At: k.sim.Now(), Kind: obsKinds[kind], Task: task, Copy: copyIdx, Detail: obsDetail,
-		})
-	}
+	k.cfg.Obs.Emit(obs.Event{At: k.sim.Now(), Kind: kind, Task: task, Copy: copyIdx, Detail: detail})
 }
 
 // countDetected attributes one detected error to a mechanism in both the
@@ -486,7 +453,6 @@ func (k *Kernel) release(t *tcb) {
 		return
 	}
 	k.stats.Releases++
-	t.releaseCount++
 	t.lastRelease = now
 	t.hasReleased = true
 
@@ -496,7 +462,7 @@ func (k *Kernel) release(t *tcb) {
 	if t.spec.DataWords > 0 && t.stateCRCSet {
 		if t.dataCRC(k.mem) != t.stateCRC {
 			crcError = true
-			k.trace(TraceStateCRCError, t.spec.Name, 0, "restoring committed state")
+			k.trace(obs.KindStateCRCError, t.spec.Name, 0, "restoring committed state")
 			k.countDetected(t.spec.Name, "state-crc")
 			if len(t.stateImage) == int(t.spec.DataWords) {
 				for i, w := range t.stateImage {
@@ -511,7 +477,6 @@ func (k *Kernel) release(t *tcb) {
 	j.deadline = now + t.spec.Deadline
 	if crcError {
 		j.errorsDetected++
-		j.detectedBy = append(j.detectedBy, "state-crc")
 	}
 	for _, p := range t.spec.InputPorts {
 		j.inputLatch = append(j.inputLatch, k.env.ReadInput(p))
@@ -521,7 +486,9 @@ func (k *Kernel) release(t *tcb) {
 	}
 	j.deadlineEvent = k.sim.Schedule(j.deadline, des.PrioKernel, j.deadlineFn)
 	k.ready = append(k.ready, j)
-	k.trace(TraceRelease, t.spec.Name, 0, "")
+	// Release records carry the task's criticality so stream consumers
+	// (the invariant checker) can tell TEM tasks from single-copy ones.
+	k.trace(obs.KindRelease, t.spec.Name, 0, t.spec.Criticality.String())
 	k.scheduleDispatch()
 }
 
@@ -564,7 +531,6 @@ func (k *Kernel) acquireJob(t *tcb) *job {
 	j.outputs = j.outputs[:0]
 	j.dataSnapshot = j.dataSnapshot[:0]
 	j.errorsDetected = 0
-	j.detectedBy = j.detectedBy[:0]
 	j.deadlineEvent = des.Event{}
 	j.chainEvent = des.Event{}
 	j.pendingMech = ""
@@ -639,15 +605,10 @@ func (k *Kernel) dispatch() {
 		if k.current != nil && k.current.state != jobDone && k.current.started {
 			// Mid-copy preemption; the context was saved at slice end.
 			k.current.state = jobReady
-			k.trace(TracePreempt, k.current.task.spec.Name, k.current.copyIndex, "")
+			k.trace(obs.KindPreempt, k.current.task.spec.Name, k.current.copyIndex, "")
 		}
 		k.current = best
-		if k.cfg.Obs != nil {
-			k.cfg.Obs.Emit(obs.Event{
-				At: k.sim.Now(), Kind: obs.KindDispatch,
-				Task: best.task.spec.Name, Copy: best.copyIndex,
-			})
-		}
+		k.trace(obs.KindDispatch, best.task.spec.Name, best.copyIndex, "")
 		// Context-switch overhead: the kernel occupies the CPU first.
 		k.stats.KernelCycles += k.cfg.SwitchCycles
 		if k.obsKernelCycles != nil {
@@ -680,7 +641,7 @@ func (k *Kernel) startCopy(j *job) {
 	j.outputs = j.outputs[:0]
 	j.cyclesUsed = 0
 	j.started = true
-	k.trace(TraceCopyStart, t.spec.Name, j.copyIndex, "")
+	k.trace(obs.KindCopyStart, t.spec.Name, j.copyIndex, "")
 }
 
 // budgetCycles converts the task's per-copy budget to cycles.
@@ -707,7 +668,7 @@ func (k *Kernel) runSlice(j *job) {
 		// from the TCB area.
 		k.proc.Restore(j.ctx)
 		k.procOwner = j
-		k.trace(TraceResume, j.task.spec.Name, j.copyIndex, "")
+		k.trace(obs.KindResume, j.task.spec.Name, j.copyIndex, "")
 	}
 	j.state = jobRunning
 	if k.cfg.UseMMU {
@@ -826,8 +787,7 @@ func (k *Kernel) handleDetectedError(j *job, mechanism string) {
 	}
 	k.countDetected(j.task.spec.Name, mechanism)
 	j.errorsDetected++
-	j.detectedBy = append(j.detectedBy, mechanism)
-	k.trace(TraceErrorDetected, j.task.spec.Name, j.copyIndex, mechanism)
+	k.trace(obs.KindErrorDetected, j.task.spec.Name, j.copyIndex, mechanism)
 
 	if k.cfg.FailSilentOnError {
 		k.emitOutcome(j, OutcomeOmission)
@@ -878,9 +838,9 @@ func (k *Kernel) copyComplete(j *job) {
 	if t.obsCopyCycles != nil {
 		t.obsCopyCycles.Observe(j.cyclesUsed)
 	}
-	if k.cfg.Trace != nil || k.cfg.Obs != nil {
-		//nlft:allow noalloc trace detail built only when a trace or telemetry sink is attached; the zero-alloc gate runs detached
-		k.trace(TraceCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
+	if k.cfg.Obs != nil {
+		//nlft:allow noalloc trace detail built only when a telemetry sink is attached; the zero-alloc gate runs detached
+		k.trace(obs.KindCopyEnd, t.spec.Name, j.copyIndex, fmt.Sprintf("crc=%08x", res.crc()))
 	}
 	j.state = jobReady
 	j.started = false
@@ -916,7 +876,7 @@ func (k *Kernel) copyComplete(j *job) {
 			return
 		}
 		if k.resultsEqual(&j.results[0], &j.results[1]) {
-			k.trace(TraceCompareMatch, t.spec.Name, 0, "")
+			k.trace(obs.KindCompareMatch, t.spec.Name, 0, "")
 			k.commit(j, &j.results[0])
 			return
 		}
@@ -924,8 +884,7 @@ func (k *Kernel) copyComplete(j *job) {
 		// the deadline allows, then vote.
 		k.countDetected(t.spec.Name, "comparison")
 		j.errorsDetected++
-		j.detectedBy = append(j.detectedBy, "comparison")
-		k.trace(TraceCompareMismatch, t.spec.Name, 0, "")
+		k.trace(obs.KindCompareMismatch, t.spec.Name, 0, "")
 		if !k.timeForAnotherCopy(j) {
 			k.omission(j, "no time for third copy")
 			return
@@ -941,7 +900,6 @@ func (k *Kernel) copyComplete(j *job) {
 			k.resultsEqual(&j.results[1], &j.results[2])) && j.errorsDetected == 0 {
 			k.countDetected(t.spec.Name, "vote")
 			j.errorsDetected++
-			j.detectedBy = append(j.detectedBy, "vote")
 		}
 		var winner *copyResult
 		switch {
@@ -953,11 +911,11 @@ func (k *Kernel) copyComplete(j *job) {
 			winner = &j.results[1]
 		}
 		if winner == nil {
-			k.trace(TraceVote, t.spec.Name, 0, "no majority")
+			k.trace(obs.KindVote, t.spec.Name, 0, "no majority")
 			k.omission(j, "three divergent results")
 			return
 		}
-		k.trace(TraceVote, t.spec.Name, 0, "majority found")
+		k.trace(obs.KindVote, t.spec.Name, 0, "majority found")
 		k.commit(j, winner)
 	default:
 		//nlft:allow noalloc panic message on a state-machine bug; unreachable in a correct kernel
@@ -1015,7 +973,7 @@ func (k *Kernel) commit(j *job, res *copyResult) {
 		k.stats.OK++
 		t.consecutiveErrors = 0
 	}
-	k.trace(TraceCommit, t.spec.Name, 0, outcome.String())
+	k.trace(obs.KindCommit, t.spec.Name, 0, outcome.String())
 	k.emitOutcome(j, outcome)
 	if t.consecutiveErrors >= k.cfg.PermanentThreshold {
 		//nlft:allow noalloc permanent-fault suspicion message; reached only after consecutive error releases
@@ -1041,7 +999,7 @@ func (k *Kernel) omission(j *job, reason string) {
 	}
 	k.stats.Omissions++
 	t.consecutiveErrors++
-	k.trace(TraceOmission, t.spec.Name, 0, reason)
+	k.trace(obs.KindOmission, t.spec.Name, 0, reason)
 	k.emitOutcome(j, OutcomeOmission)
 	if t.consecutiveErrors >= k.cfg.PermanentThreshold {
 		k.failSilent(fmt.Sprintf("suspected permanent fault: %d consecutive error releases of %s",
@@ -1063,7 +1021,7 @@ func (k *Kernel) shutdownTask(j *job, reason string) {
 	}
 	t.alive = false
 	k.stats.TaskShutdowns++
-	k.trace(TraceTaskShutdown, t.spec.Name, 0, reason)
+	k.trace(obs.KindTaskShutdown, t.spec.Name, 0, reason)
 	k.emitOutcome(j, OutcomeTaskShutdown)
 	k.retireJob(j)
 	k.scheduleDispatch()
@@ -1093,8 +1051,6 @@ func (k *Kernel) emitOutcome(j *job, o Outcome) {
 		SettledAt:      k.sim.Now(),
 		Outcome:        o,
 		ErrorsDetected: j.errorsDetected,
-		//nlft:allow noalloc hook payload clones the slice for the consumer; the zero-alloc gate runs with no hook
-		DetectedBy: append([]string(nil), j.detectedBy...),
 	})
 }
 
@@ -1112,7 +1068,7 @@ func (k *Kernel) failSilent(reason string) {
 	// retained so a checkpoint restore (internal/fault's fork engine) can
 	// rebuild it without allocating.
 	k.ready = k.ready[:0]
-	k.trace(TraceNodeFailSilent, "", 0, reason)
+	k.trace(obs.KindFailSilent, "", 0, reason)
 	if k.OnFailSilent != nil {
 		k.OnFailSilent(k.sim.Now(), reason)
 	}

@@ -7,21 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// buildObsKernel wires a kernel with both the legacy trace and an obs
-// collector attached.
-func buildObsKernel(t *testing.T, cfg Config) (*des.Simulator, *testEnv, *Kernel, *Trace, *obs.Collector) {
-	t.Helper()
-	col := obs.NewCollector("")
-	cfg.Obs = col
-	sim, env, k, trace := buildKernel(t, cfg)
-	return sim, env, k, trace, col
-}
-
 // TestObsMirrorsKernelStats cross-checks the telemetry counters against
 // the kernel's own Stats over a fault-free run: the two accountings are
 // produced by different code paths and must agree exactly.
 func TestObsMirrorsKernelStats(t *testing.T) {
-	sim, _, k, trace, col := buildObsKernel(t, Config{})
+	sim, _, k, col := buildKernel(t, Config{})
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,32 +47,15 @@ func TestObsMirrorsKernelStats(t *testing.T) {
 		t.Errorf("copy_cycles min/max = %d/%d", h.Min(), h.Max())
 	}
 
-	// The obs stream carries every legacy trace record (same kinds, same
-	// instants) plus the obs-only dispatch events.
-	dispatches := 0
-	for _, e := range col.Events() {
-		if e.Kind == obs.KindDispatch {
-			dispatches++
-		}
-	}
-	if got := len(col.Events()) - dispatches; got != len(trace.Events) {
-		t.Errorf("obs stream has %d non-dispatch events, legacy trace %d",
-			got, len(trace.Events))
-	}
-	if dispatches == 0 {
+	if len(eventsOf(col, obs.KindDispatch)) == 0 {
 		t.Error("no dispatch events recorded")
 	}
 
 	// Release events carry the criticality as detail (the invariant
-	// checker keys on it); the legacy trace is unchanged (empty detail).
-	for _, e := range col.Events() {
-		if e.Kind == obs.KindRelease && e.Detail != "critical" {
+	// checker keys on it).
+	for _, e := range eventsOf(col, obs.KindRelease) {
+		if e.Detail != "critical" {
 			t.Errorf("release event detail = %q, want critical", e.Detail)
-		}
-	}
-	for _, ev := range trace.Events {
-		if ev.Kind == TraceRelease && ev.Detail != "" {
-			t.Errorf("legacy release detail changed: %q", ev.Detail)
 		}
 	}
 }
@@ -91,7 +64,7 @@ func TestObsMirrorsKernelStats(t *testing.T) {
 // releases so the data-integrity CRC fires, and checks the detection is
 // counted per mechanism in the registry and emitted as a typed event.
 func TestObsCountsDetectedErrors(t *testing.T) {
-	sim, _, k, _, col := buildObsKernel(t, Config{})
+	sim, _, k, col := buildKernel(t, Config{})
 	spec := taskABase(t, adderSrc)
 	if err := k.AddTask(spec); err != nil {
 		t.Fatal(err)
@@ -115,13 +88,7 @@ func TestObsCountsDetectedErrors(t *testing.T) {
 		t.Errorf("kernel.errors_detected{state-crc} = %d, want %d",
 			got, st.ErrorsDetected["state-crc"])
 	}
-	crcEvents := 0
-	for _, e := range col.Events() {
-		if e.Kind == obs.KindStateCRCError {
-			crcEvents++
-		}
-	}
-	if crcEvents == 0 {
+	if len(eventsOf(col, obs.KindStateCRCError)) == 0 {
 		t.Error("no state-crc-error event emitted")
 	}
 	// The recovered run must still satisfy the TEM invariants.
@@ -130,10 +97,11 @@ func TestObsCountsDetectedErrors(t *testing.T) {
 	}
 }
 
-// TestObsNilCollectorIsFreeAndSafe: a kernel without a collector takes
-// every telemetry call site through the nil paths.
+// TestObsNilCollectorIsSafe: a kernel without a collector takes every
+// telemetry call site through the nil paths.
 func TestObsNilCollectorIsSafe(t *testing.T) {
-	sim, env, k, _ := buildKernel(t, Config{})
+	sim, env := des.New(), newTestEnv()
+	k := New(sim, env, Config{})
 	if err := k.AddTask(taskABase(t, adderSrc)); err != nil {
 		t.Fatal(err)
 	}

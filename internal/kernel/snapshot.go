@@ -51,7 +51,6 @@ type jobSnap struct {
 	outputs        []portWrite
 	dataSnapshot   []uint32
 	errorsDetected int
-	detectedBy     []string
 	deadlineEvent  des.Event //nlft:allow eventhandle checkpoint copy of the job's own handle: restored wholesale with the event pool, whose generation rewind revalidates exactly this handle
 	chainEvent     des.Event //nlft:allow eventhandle checkpoint copy of the job's own handle: restored wholesale with the event pool, whose generation rewind revalidates exactly this handle
 	pendingMech    string
@@ -64,7 +63,6 @@ type tcbSnap struct {
 	stateCRCSet       bool
 	stateImage        []uint32
 	alive             bool
-	releaseCount      uint64
 	lastRelease       des.Time
 	hasReleased       bool
 	pendingTrigger    bool
@@ -97,9 +95,6 @@ type KernelState struct {
 	errorsDetected map[string]uint64
 
 	tasks []tcbSnap
-
-	traceEvents  []TraceEvent
-	traceDropped uint64
 }
 
 // CPUBusyUntil reports the end of the last CPU slice committed before
@@ -150,10 +145,9 @@ func (k *Kernel) deref(r jobRef) *job {
 }
 
 // Snapshot copies the kernel's complete mutable state — processor,
-// memory, MMU, scheduler queues, per-task and per-job TEM state, stats,
-// and the trace buffer if one is configured — into st. Static wiring
-// (specs, programs, bound callbacks, the observability hookup) is not
-// captured; it never changes after Start.
+// memory, MMU, scheduler queues, per-task and per-job TEM state and
+// stats — into st. Static wiring (specs, programs, bound callbacks, the
+// observability hookup) is not captured; it never changes after Start.
 //
 //nlft:noalloc
 func (k *Kernel) Snapshot(into *KernelState) {
@@ -199,7 +193,6 @@ func (k *Kernel) Snapshot(into *KernelState) {
 		ts.stateCRCSet = t.stateCRCSet
 		ts.stateImage = append(ts.stateImage[:0], t.stateImage...)
 		ts.alive = t.alive
-		ts.releaseCount = t.releaseCount
 		ts.lastRelease = t.lastRelease
 		ts.hasReleased = t.hasReleased
 		ts.pendingTrigger = t.pendingTrigger
@@ -234,16 +227,10 @@ func (k *Kernel) Snapshot(into *KernelState) {
 			js.outputs = append(js.outputs[:0], j.outputs...)
 			js.dataSnapshot = append(js.dataSnapshot[:0], j.dataSnapshot...)
 			js.errorsDetected = j.errorsDetected
-			js.detectedBy = append(js.detectedBy[:0], j.detectedBy...)
 			js.deadlineEvent = j.deadlineEvent
 			js.chainEvent = j.chainEvent
 			js.pendingMech = j.pendingMech
 		}
-	}
-
-	if k.cfg.Trace != nil {
-		into.traceEvents = append(into.traceEvents[:0], k.cfg.Trace.Events...)
-		into.traceDropped = k.cfg.Trace.Dropped
 	}
 }
 
@@ -281,7 +268,6 @@ func (k *Kernel) Restore(from *KernelState) {
 		t.stateCRCSet = ts.stateCRCSet
 		t.stateImage = append(t.stateImage[:0], ts.stateImage...)
 		t.alive = ts.alive
-		t.releaseCount = ts.releaseCount
 		t.lastRelease = ts.lastRelease
 		t.hasReleased = ts.hasReleased
 		t.pendingTrigger = ts.pendingTrigger
@@ -309,7 +295,6 @@ func (k *Kernel) Restore(from *KernelState) {
 			j.outputs = append(j.outputs[:0], js.outputs...)
 			j.dataSnapshot = append(j.dataSnapshot[:0], js.dataSnapshot...)
 			j.errorsDetected = js.errorsDetected
-			j.detectedBy = append(j.detectedBy[:0], js.detectedBy...)
 			j.deadlineEvent = js.deadlineEvent
 			j.chainEvent = js.chainEvent
 			j.pendingMech = js.pendingMech
@@ -334,9 +319,4 @@ func (k *Kernel) Restore(from *KernelState) {
 	}
 	k.current = k.deref(from.current)
 	k.procOwner = k.deref(from.procOwner)
-
-	if k.cfg.Trace != nil {
-		k.cfg.Trace.Events = append(k.cfg.Trace.Events[:0], from.traceEvents...)
-		k.cfg.Trace.Dropped = from.traceDropped
-	}
 }

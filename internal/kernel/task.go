@@ -243,11 +243,10 @@ type tcb struct {
 	// stateCRC protects the task's state region between activations
 	// (data-integrity check, Table 1); stateImage is the committed copy
 	// used to recover from a CRC mismatch (data duplication, §2.6).
-	stateCRC     uint32
-	stateCRCSet  bool
-	stateImage   []uint32
-	alive        bool
-	releaseCount uint64
+	stateCRC    uint32
+	stateCRCSet bool
+	stateImage  []uint32
+	alive       bool
 	// lastRelease enforces the sporadic minimal inter-arrival time;
 	// pendingTrigger marks a deferred sporadic activation.
 	lastRelease    des.Time
@@ -327,8 +326,6 @@ type job struct {
 	dataSnapshot []uint32
 	// errorsDetected counts detected errors during this release.
 	errorsDetected int
-	// detectedBy records which mechanisms fired (for traces/campaigns).
-	detectedBy []string
 	// deadlineEvent is the pending deadline-check event.
 	deadlineEvent des.Event
 	// chainEvent is the job's most recent continuation event (dispatch,

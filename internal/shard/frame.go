@@ -99,7 +99,11 @@ func writeCompletion(w io.Writer, sr *fault.ShardResult) error {
 
 // readCompletion parses a completion stream, validating that it is
 // complete (end frame present, exactly one tally, the expected record
-// count) before anything is returned for folding.
+// count) before anything is returned for folding. A stream that sends
+// more records than the lease covers is rejected at the frame that
+// overshoots, and a record frame with no records is rejected as empty,
+// so every accepted frame makes progress and a runaway worker cannot
+// make the coordinator read or buffer an unbounded body.
 func readCompletion(r io.Reader, wantRecords int) (*fault.ShardResult, error) {
 	sr := &fault.ShardResult{}
 	sawTally, sawEnd := false, false
@@ -112,8 +116,11 @@ func readCompletion(r io.Reader, wantRecords int) (*fault.ShardResult, error) {
 			return nil, err
 		}
 		switch {
-		case f.Records != nil:
+		case len(f.Records) > 0:
 			sr.Records = append(sr.Records, f.Records...)
+			if len(sr.Records) > wantRecords {
+				return nil, fmt.Errorf("shard: completion has more than the %d records the lease covers", wantRecords)
+			}
 		case f.Tally != nil:
 			if sawTally {
 				return nil, fmt.Errorf("shard: duplicate tally frame")

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -472,6 +473,56 @@ func TestSpecTrialsBound(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "trials") {
 		t.Errorf("rejection does not name the field: %s", rec.Body)
+	}
+}
+
+// frameRepeater serves the same encoded frame up to limit times and
+// counts how many it has begun serving.
+type frameRepeater struct {
+	frame  []byte
+	limit  int
+	off    int
+	served int
+}
+
+func (r *frameRepeater) Read(p []byte) (int, error) {
+	if r.off == 0 {
+		if r.served == r.limit {
+			return 0, io.EOF
+		}
+		r.served++
+	}
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestReadCompletionBoundsRecords: a stream that keeps sending record
+// frames past its lease is rejected at the first frame that overshoots,
+// not buffered in full until the end frame; one that keeps sending empty
+// record frames is rejected at the first.
+func TestReadCompletionBoundsRecords(t *testing.T) {
+	const want = 512
+	var full bytes.Buffer
+	if err := writeFrame(&full, &completionFrame{Records: make([]fault.TrialRecord, recordsPerFrame)}); err != nil {
+		t.Fatal(err)
+	}
+	empty := append([]byte{0, 0, 0, 14}, `{"records":[]}`...)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		most  int
+	}{
+		{"oversized", full.Bytes(), (want+recordsPerFrame-1)/recordsPerFrame + 1},
+		{"empty", empty, 1},
+	} {
+		r := &frameRepeater{frame: tc.frame, limit: 64}
+		if _, err := readCompletion(r, want); err == nil {
+			t.Fatalf("%s: completion accepted", tc.name)
+		}
+		if r.served > tc.most {
+			t.Errorf("%s: read %d record frames before rejecting, want at most %d", tc.name, r.served, tc.most)
+		}
 	}
 }
 
